@@ -4,8 +4,10 @@ The state is a total edge coloring of K_n; its energy is the number of
 monochromatic copies of target i inside color class i, summed over
 colors, so a zero-energy state is a valid coloring. Moves recolor one
 random edge, scored incrementally by counting only the copies through
-that edge, and are accepted by the Metropolis rule under a geometric
-cooling schedule with deterministic per-restart seeds.
+that edge with the closed forms of :func:`detect.count_copies_with_edge`,
+and are accepted by the Metropolis rule under a geometric cooling
+schedule with deterministic per-restart seeds. This module knows no
+target kind: all per-kind search lives in :mod:`detect`.
 """
 
 from __future__ import annotations
@@ -13,20 +15,11 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import combinations, permutations
 from typing import Sequence
 
 from .coloring import EdgeColoring, color_class
-from .detect import coloring_is_valid, count_cliques, list_copies
-from .graphs import iter_bits
-from .targets import (
-    CLIQUE,
-    CLIQUE_MINUS_EDGE,
-    CLIQUE_MINUS_P3,
-    CYCLE,
-    TRIANGLE_PLUS_PENDANT,
-    Target,
-)
+from .detect import coloring_is_valid, count_copies_with_edge, list_copies
+from .targets import Target
 
 
 @dataclass(frozen=True)
@@ -70,78 +63,6 @@ def energy(c: EdgeColoring, targets: Sequence[Target]) -> int:
     )
 
 
-def count_copies_with_edge(
-    masks: Sequence[int], n: int, t: Target, u: int, v: int
-) -> int:
-    """Copies of ``t`` through the present edge {u,v} of the mask graph."""
-    if t.kind == CLIQUE:
-        return count_cliques(masks, masks[u] & masks[v], t.k - 2)
-    rest_pool = [w for w in range(n) if w != u and w != v]
-    total = 0
-    for combo in combinations(rest_pool, t.order - 2):
-        total += _copies_on_set(masks, t, combo + (u, v), u, v)
-    return total
-
-
-def _copies_on_set(
-    masks: Sequence[int], t: Target, verts: tuple[int, ...], u: int, v: int
-) -> int:
-    vs = sorted(verts)
-    if t.kind == CLIQUE_MINUS_EDGE:
-        nonedges = [
-            (a, b) for a, b in combinations(vs, 2) if not (masks[a] >> b) & 1
-        ]
-        if not nonedges:
-            return t.k * (t.k - 1) // 2 - 1  # any missing pair except {u,v}
-        if len(nonedges) == 1:
-            return 1
-        return 0
-    if t.kind == TRIANGLE_PLUS_PENDANT:
-        count = 0
-        e = (min(u, v), max(u, v))
-        for d in vs:
-            tri = [w for w in vs if w != d]
-            a, b, c = tri
-            if not (
-                (masks[a] >> b) & 1 and (masks[a] >> c) & 1 and (masks[b] >> c) & 1
-            ):
-                continue
-            for attach in tri:
-                if (masks[attach] >> d) & 1:
-                    edges = {
-                        (a, b),
-                        (min(a, c), max(a, c)),
-                        (min(b, c), max(b, c)),
-                        (min(attach, d), max(attach, d)),
-                    }
-                    if e in edges:
-                        count += 1
-        return count
-    if t.kind == CLIQUE_MINUS_P3:
-        count = 0
-        e = (min(u, v), max(u, v))
-        pairs = list(combinations(vs, 2))
-        present = {p for p in pairs if (masks[p[0]] >> p[1]) & 1}
-        for w in vs:
-            others = [x for x in vs if x != w]
-            for x, y in combinations(others, 2):
-                removed = {(min(w, x), max(w, x)), (min(w, y), max(w, y))}
-                if e in removed:
-                    continue
-                if all(p in present for p in pairs if p not in removed):
-                    count += 1
-        return count
-    if t.kind == CYCLE:
-        count = 0
-        inner = [w for w in vs if w != u and w != v]
-        for order in permutations(inner):
-            chain = (v,) + order + (u,)
-            if all((masks[a] >> b) & 1 for a, b in zip(chain, chain[1:])):
-                count += 1
-        return count
-    raise ValueError(f"unsupported target kind {t.kind!r}")
-
-
 def _restart_seed(seed: int, restart: int) -> int:
     return seed * 1_000_003 + restart
 
@@ -170,7 +91,7 @@ def anneal_search(
         for (u, v), c in zip(pairs, colors):
             masks[c][u] |= 1 << v
             masks[c][v] |= 1 << u
-        cur = _full_energy(masks, n, targets)
+        cur = energy(EdgeColoring(n, m, bytes(colors)), targets)
         if cur == 0:
             return _finish(n, m, colors, targets, restart)
         temp = params.initial_temperature
@@ -207,15 +128,6 @@ def _move(masks: list[list[int]], frm: int, to: int, u: int, v: int) -> None:
     masks[frm][v] &= ~(1 << u)
     masks[to][u] |= 1 << v
     masks[to][v] |= 1 << u
-
-
-def _full_energy(masks: Sequence[Sequence[int]], n: int, targets) -> int:
-    from .graphs import Graph
-
-    return sum(
-        len(list_copies(Graph(n, tuple(masks[i])), targets[i]).copies)
-        for i in range(len(targets))
-    )
 
 
 def _finish(n, m, colors, targets, restart) -> AnnealResult:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, iter_bits
+from .graphs import Graph, iter_bits, relabel_rows
 
 _MAX_GENERATORS = 64
 
@@ -199,15 +199,5 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
     return canonical_form(g) == canonical_form(h)
 
 
-def relabel_canonical(n: int, adj: tuple[int, ...], order: tuple[int, ...]):
-    """Adjacency rows rewritten so canonical position i becomes vertex i."""
-    pos = [0] * n
-    for i, v in enumerate(order):
-        pos[v] = i
-    rows = [0] * n
-    for i, v in enumerate(order):
-        row = 0
-        for u in iter_bits(adj[v]):
-            row |= 1 << pos[u]
-        rows[i] = row
-    return tuple(rows)
+# rows with canonical position i as vertex i, given canon_raw's ``order``
+relabel_canonical = relabel_rows

@@ -80,7 +80,6 @@ def color_class(c: EdgeColoring, i: int) -> Graph:
 def delete_coloring_vertex(c: EdgeColoring, v: int) -> EdgeColoring:
     """The coloring induced by removing vertex ``v`` (labels shift down)."""
     keep = [u for u in range(c.n) if u != v]
-    pos = {u: i for i, u in enumerate(keep)}
 
     def fn(a: int, b: int) -> int:
         return c.color_of(keep[a], keep[b])

@@ -1,29 +1,28 @@
 """Detection and enumeration of forbidden subgraphs inside host graphs.
 
-Containment is always in the subgraph sense (never induced). The search
-routines work on neighborhood bitmasks: a clique is grown by intersecting
-candidate masks, J_k is located as a vertex pair whose common neighborhood
-holds a (k-2)-clique, and so on for the other patterns in the family.
+Containment is always in the subgraph sense (never induced). This is the
+only module that knows how each target kind is found. Per kind it holds one
+lazy copy generator, which backs both :func:`list_copies` and
+:func:`contains`, and one closed form for the number of copies through a
+present edge {u,v}, which annealing uses to score a move. Everything works
+on neighborhood bitmasks: a clique is grown by intersecting candidate
+masks, J_k is located as a vertex pair whose common neighborhood holds a
+(k-2)-clique, and so on for the other patterns in the family.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
+from math import comb
 from typing import Iterator, Sequence
 
 from .coloring import EdgeColoring, color_class
 from .graphs import Graph, complement, iter_bits
-from .targets import (
-    CLIQUE,
-    CLIQUE_MINUS_EDGE,
-    CLIQUE_MINUS_P3,
-    CYCLE,
-    TRIANGLE_PLUS_PENDANT,
-    Target,
-)
+from .targets import CLIQUE, CLIQUE_MINUS_EDGE, CLIQUE_MINUS_P3, CYCLE, Target
 
 Edge = tuple[int, int]
+Copy = tuple[Edge, ...]
 
 
 @dataclass(frozen=True)
@@ -31,7 +30,7 @@ class CopyList:
     """All copies of a target in a host, each copy a sorted edge tuple."""
 
     target: Target
-    copies: tuple[tuple[Edge, ...], ...]
+    copies: tuple[Copy, ...]
 
     def __len__(self) -> int:
         return len(self.copies)
@@ -45,9 +44,7 @@ def has_clique(adj: Sequence[int], cand: int, k: int) -> bool:
     """
     if k <= 0:
         return True
-    while cand:
-        if cand.bit_count() < k:
-            return False
+    while cand.bit_count() >= k:
         low = cand & -cand
         v = low.bit_length() - 1
         cand ^= low
@@ -76,7 +73,7 @@ def iter_cliques(adj: Sequence[int], cand: int, k: int) -> Iterator[int]:
     if k == 0:
         yield 0
         return
-    while cand:
+    while cand.bit_count() >= k:  # fewer candidates than k: no clique left
         low = cand & -cand
         v = low.bit_length() - 1
         cand ^= low
@@ -84,136 +81,75 @@ def iter_cliques(adj: Sequence[int], cand: int, k: int) -> Iterator[int]:
             yield rest | low
 
 
-def contains(g: Graph, t: Target) -> bool:
-    """Does ``g`` contain a (not necessarily induced) copy of ``t``?"""
-    n, adj = g.n, g.adj
-    if t.order > n:
-        return False
-    full = (1 << n) - 1
-    if t.kind == CLIQUE:
-        return has_clique(adj, full, t.k)
-    if t.kind == CLIQUE_MINUS_EDGE:
-        for x in range(n):
-            ax = adj[x]
-            for y in range(x + 1, n):
-                if has_clique(adj, ax & adj[y], t.k - 2):
-                    return True
-        return False
-    if t.kind == TRIANGLE_PLUS_PENDANT:
-        for u in range(n):
-            au = adj[u]
-            for v in iter_bits(au >> (u + 1)):
-                v += u + 1
-                common = au & adj[v]
-                if not common:
+def _clique_commons(
+    adj: Sequence[int], cand: int, k: int, common: int
+) -> Iterator[int]:
+    """For each k-clique Q inside ``cand``, yield ``common`` ∩ N(Q)."""
+    if k == 0:
+        yield common
+        return
+    while cand.bit_count() >= k:
+        low = cand & -cand
+        v = low.bit_length() - 1
+        cand ^= low
+        yield from _clique_commons(adj, cand & adj[v], k - 1, common & adj[v])
+
+
+def _clique_copy(mask: int, *missing: Edge) -> Copy:
+    """The edges of the clique on ``mask`` minus ``missing``, sorted."""
+    verts = list(iter_bits(mask))
+    edges = [(u, v) for i, u in enumerate(verts) for v in verts[i + 1 :]]
+    for e in missing:
+        edges.remove(e)
+    return tuple(edges)
+
+
+def _pair(a: int, b: int) -> Edge:
+    return (a, b) if a < b else (b, a)
+
+
+# Copy generators: every copy exactly once, as a sorted edge tuple.
+
+
+def _clique_copies(adj: Sequence[int], n: int, k: int) -> Iterator[Copy]:
+    for mask in iter_cliques(adj, (1 << n) - 1, k):
+        yield _clique_copy(mask)
+
+
+def _cme_copies(adj: Sequence[int], n: int, k: int) -> Iterator[Copy]:
+    # x, y are the two non-adjacent tips; the spine is a (k-2)-clique
+    for x in range(n):
+        for y in range(x + 1, n):
+            pair = (1 << x) | (1 << y)
+            for spine in iter_cliques(adj, adj[x] & adj[y], k - 2):
+                yield _clique_copy(spine | pair, (x, y))
+
+
+def _cmp3_copies(adj: Sequence[int], n: int, k: int) -> Iterator[Copy]:
+    # u-v is the path-ends edge, w the path centre, and the core is a
+    # (k-3)-clique adjacent to all three
+    for u in range(n):
+        for v in iter_bits(adj[u] >> (u + 1)):
+            v += u + 1
+            common = adj[u] & adj[v]
+            for w in range(n):
+                if w == u or w == v:
                     continue
-                if au.bit_count() > 2 or adj[v].bit_count() > 2:
-                    return True
-                for w in iter_bits(common):
-                    if adj[w].bit_count() > 2:
-                        return True
-        return False
-    if t.kind == CLIQUE_MINUS_P3:
-        for u in range(n):
-            au = adj[u]
-            for v in iter_bits(au >> (u + 1)):
-                v += u + 1
-                common = au & adj[v]
-                for w in range(n):
-                    if w == u or w == v:
-                        continue
-                    if has_clique(adj, common & adj[w], t.k - 3):
-                        return True
-        return False
-    return _has_cycle(g, t.k)
+                ends = (1 << u) | (1 << v) | (1 << w)
+                for core in iter_cliques(adj, common & adj[w], k - 3):
+                    yield _clique_copy(core | ends, _pair(u, w), _pair(v, w))
 
 
-def _has_cycle(g: Graph, k: int) -> bool:
-    n, adj = g.n, g.adj
+def _cycle_copies(adj: Sequence[int], n: int, k: int) -> Iterator[Copy]:
     for s in range(n):
         allowed = ~((1 << (s + 1)) - 1)  # only vertices above the start
-        start_bit = 1 << s
-
-        def dfs(v: int, depth: int, visited: int) -> bool:
-            if depth == k:
-                return bool(adj[v] & start_bit)
-            for u in iter_bits(adj[v] & allowed & ~visited):
-                if dfs(u, depth + 1, visited | (1 << u)):
-                    return True
-            return False
-
-        if dfs(s, 1, start_bit):
-            return True
-    return False
-
-
-def _clique_edges(mask: int) -> list[Edge]:
-    verts = list(iter_bits(mask))
-    return [(u, v) for i, u in enumerate(verts) for v in verts[i + 1 :]]
-
-
-def list_copies(g: Graph, t: Target) -> CopyList:
-    """Every distinct copy of ``t`` in ``g`` as a sorted edge tuple."""
-    n, adj = g.n, g.adj
-    copies: set[tuple[Edge, ...]] = set()
-    full = (1 << n) - 1
-    if t.order <= n:
-        if t.kind == CLIQUE:
-            for mask in iter_cliques(adj, full, t.k):
-                copies.add(tuple(sorted(_clique_edges(mask))))
-        elif t.kind == CLIQUE_MINUS_EDGE:
-            for x in range(n):
-                for y in range(x + 1, n):
-                    common = adj[x] & adj[y]
-                    for cmask in iter_cliques(adj, common, t.k - 2):
-                        edges = _clique_edges(cmask)
-                        for w in iter_bits(cmask):
-                            edges.append((min(x, w), max(x, w)))
-                            edges.append((min(y, w), max(y, w)))
-                        copies.add(tuple(sorted(edges)))
-        elif t.kind == TRIANGLE_PLUS_PENDANT:
-            for tri in iter_cliques(adj, full, 3):
-                for a in iter_bits(tri):
-                    for p in iter_bits(adj[a] & ~tri):
-                        edges = _clique_edges(tri)
-                        edges.append((min(a, p), max(a, p)))
-                        copies.add(tuple(sorted(edges)))
-        elif t.kind == CLIQUE_MINUS_P3:
-            for u in range(n):
-                for v in iter_bits(adj[u] >> (u + 1)):
-                    v += u + 1
-                    common = adj[u] & adj[v]
-                    for w in range(n):
-                        if w == u or w == v:
-                            continue
-                        pool = common & adj[w] & ~(1 << w)
-                        for cmask in iter_cliques(adj, pool, t.k - 3):
-                            edges = _clique_edges(cmask)
-                            edges.append((u, v))
-                            for r in iter_bits(cmask):
-                                edges.append((min(u, r), max(u, r)))
-                                edges.append((min(v, r), max(v, r)))
-                                edges.append((min(w, r), max(w, r)))
-                            copies.add(tuple(sorted(set(edges))))
-        else:
-            for cyc in _iter_cycles(g, t.k):
-                copies.add(cyc)
-    return CopyList(t, tuple(sorted(copies)))
-
-
-def _iter_cycles(g: Graph, k: int) -> Iterator[tuple[Edge, ...]]:
-    n, adj = g.n, g.adj
-    for s in range(n):
-        allowed = ~((1 << (s + 1)) - 1)
         path = [s]
 
-        def dfs(v: int, visited: int) -> Iterator[tuple[Edge, ...]]:
+        def dfs(v: int, visited: int) -> Iterator[Copy]:
             if len(path) == k:
                 # close the cycle; dedupe direction via second < last vertex
                 if (adj[v] >> s) & 1 and path[1] < path[-1]:
-                    edges = [
-                        (min(a, b), max(a, b)) for a, b in zip(path, path[1:] + [s])
-                    ]
+                    edges = [_pair(a, b) for a, b in zip(path, path[1:] + [s])]
                     yield tuple(sorted(edges))
                 return
             for u in iter_bits(adj[v] & allowed & ~visited):
@@ -222,6 +158,107 @@ def _iter_cycles(g: Graph, k: int) -> Iterator[tuple[Edge, ...]]:
                 path.pop()
 
         yield from dfs(s, 1 << s)
+
+
+_COPIES = {
+    CLIQUE: _clique_copies,
+    CLIQUE_MINUS_EDGE: _cme_copies,
+    CLIQUE_MINUS_P3: _cmp3_copies,
+    CYCLE: _cycle_copies,
+}
+
+
+def iter_copies(g: Graph, t: Target) -> Iterator[Copy]:
+    """Lazily yield every copy of ``t`` in ``g`` once, as a sorted edge tuple."""
+    if t.order > g.n:
+        return iter(())
+    return _COPIES[t.kind](g.adj, g.n, t.k)
+
+
+def contains(g: Graph, t: Target) -> bool:
+    """Does ``g`` contain a (not necessarily induced) copy of ``t``?"""
+    return next(iter_copies(g, t), None) is not None
+
+
+def list_copies(g: Graph, t: Target) -> CopyList:
+    """Every distinct copy of ``t`` in ``g`` as a sorted edge tuple."""
+    return CopyList(t, tuple(sorted(iter_copies(g, t))))
+
+
+# Copies through a present edge {u,v}, in closed bitset form. C is the
+# common neighborhood of u and v; every form splits the copies by the roles
+# u and v play in the pattern and counts each role's completions with
+# clique loops inside C.
+
+
+def _clique_through(masks: Sequence[int], n: int, k: int, u: int, v: int) -> int:
+    return count_cliques(masks, masks[u] & masks[v], k - 2)
+
+
+def _cme_through(masks: Sequence[int], n: int, k: int, u: int, v: int) -> int:
+    c = masks[u] & masks[v]
+    # u and v on the spine: the rest of the spine is a (k-4)-clique Q in C,
+    # and the two tips are any pair adjacent to the whole spine
+    total = sum(comb(q.bit_count(), 2) for q in _clique_commons(masks, c, k - 4, c))
+    # spine vertex b, the other endpoint a tip: the rest of the spine is a
+    # (k-3)-clique Q in C, and the other tip is any neighbor of b and Q
+    # except that endpoint
+    for b in (u, v):
+        for q in _clique_commons(masks, c, k - 3, masks[b]):
+            total += q.bit_count() - 1
+    return total
+
+
+def _cmp3_through(masks: Sequence[int], n: int, k: int, u: int, v: int) -> int:
+    c = masks[u] & masks[v]
+    # u-v is the path-ends edge: a (k-3)-clique core R in C, and a centre
+    # adjacent to all of R other than u and v
+    full = (1 << n) - 1
+    total = sum(q.bit_count() - 2 for q in _clique_commons(masks, c, k - 3, full))
+    # a path end or the centre at a, core vertex b: the rest of the core is
+    # a (k-4)-clique in C, and W holds the vertices adjacent to b and it
+    for a, b in ((u, v), (v, u)):
+        for w in _clique_commons(masks, c, k - 4, masks[b]):
+            # end a: the other end in W ∩ N(a), the centre anywhere else in W
+            total += (w & masks[a]).bit_count() * (w.bit_count() - 2)
+            # centre a: the two path ends are any edge of W - a
+            total += count_cliques(masks, w & ~(1 << a), 2)
+    # u and v in the core: the rest is a (k-5)-clique in C, the ends are an
+    # edge of Z and the centre is any other vertex of Z
+    if k >= 5:
+        for z in _clique_commons(masks, c, k - 5, c):
+            total += count_cliques(masks, z, 2) * (z.bit_count() - 2)
+    return total
+
+
+def _paths(masks: Sequence[int], a: int, b: int, steps: int, seen: int) -> int:
+    """Simple a-b paths of ``steps`` edges whose inner vertices avoid ``seen``."""
+    if steps == 2:
+        return (masks[a] & masks[b] & ~seen).bit_count()
+    total = 0
+    for w in iter_bits(masks[a] & ~seen):
+        total += _paths(masks, w, b, steps - 1, seen | (1 << w))
+    return total
+
+
+def _cycle_through(masks: Sequence[int], n: int, k: int, u: int, v: int) -> int:
+    # each cycle through u-v is the edge plus one v-u path of k-1 edges
+    return _paths(masks, v, u, k - 1, (1 << u) | (1 << v))
+
+
+_THROUGH_EDGE = {
+    CLIQUE: _clique_through,
+    CLIQUE_MINUS_EDGE: _cme_through,
+    CLIQUE_MINUS_P3: _cmp3_through,
+    CYCLE: _cycle_through,
+}
+
+
+def count_copies_with_edge(
+    masks: Sequence[int], n: int, t: Target, u: int, v: int
+) -> int:
+    """Copies of ``t`` through the present edge {u,v} of the mask graph."""
+    return _THROUGH_EDGE[t.kind](masks, n, t.k, u, v)
 
 
 def is_good(g: Graph, t1: Target, t2: Target) -> bool:

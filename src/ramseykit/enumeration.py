@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .canon import canon_raw, relabel_canonical
 from .detect import contains, has_clique, iter_cliques
-from .graphs import Graph, add_vertex, complement, iter_bits
+from .graphs import Graph, add_vertex, complement
 from .targets import CLIQUE, CLIQUE_MINUS_EDGE, Target
 
 _ORBIT_CAP = 4096
@@ -76,10 +76,6 @@ def _independent_sets(adj: Sequence[int], pool: int) -> Iterator[int]:
             v = low.bit_length() - 1
             pool ^= low
             stack.append((pool & ~adj[v], cur | low))
-
-
-def _subsets(n: int) -> Iterator[int]:
-    return iter(range(1 << n))
 
 
 def _cme_critical_masks(
@@ -146,10 +142,10 @@ def _extensions(adj: tuple[int, ...], n: int, t1: Target, t2: Target) -> Iterato
         candidates: Iterable[int] = _independent_sets(adj, full)
         check_t1 = False
     elif t1.kind == CLIQUE:
-        candidates = (s for s in _subsets(n) if not has_clique(adj, s, t1.k - 1))
+        candidates = (s for s in range(1 << n) if not has_clique(adj, s, t1.k - 1))
         check_t1 = False
     else:
-        candidates = _subsets(n)
+        candidates = range(1 << n)
         check_t1 = True
 
     base = Graph(n, adj)

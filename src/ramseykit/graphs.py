@@ -8,7 +8,7 @@ machine-word operations for every graph this package handles.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 MAX_VERTICES = 64
 
@@ -116,20 +116,28 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
     return Graph(len(keep), tuple(rows))
 
 
+def relabel_rows(n: int, adj: Sequence[int], order: Sequence[int]) -> tuple[int, ...]:
+    """Adjacency rows rewritten so the vertex ``order[i]`` becomes vertex ``i``.
+
+    No validation: enumeration relabels raw bitsets on its hot path.
+    """
+    pos = [0] * n
+    for i, v in enumerate(order):
+        pos[v] = i
+    rows = [0] * n
+    for i, v in enumerate(order):
+        row = 0
+        for u in iter_bits(adj[v]):
+            row |= 1 << pos[u]
+        rows[i] = row
+    return tuple(rows)
+
+
 def relabel(g: Graph, order: tuple[int, ...]) -> Graph:
     """Relabel so the vertex ``order[i]`` becomes vertex ``i``."""
     if sorted(order) != list(range(g.n)):
         raise ValueError("order must be a permutation of the vertices")
-    pos = [0] * g.n
-    for i, v in enumerate(order):
-        pos[v] = i
-    rows = [0] * g.n
-    for i, v in enumerate(order):
-        row = 0
-        for u in iter_bits(g.adj[v]):
-            row |= 1 << pos[u]
-        rows[i] = row
-    return Graph(g.n, tuple(rows))
+    return Graph(g.n, relabel_rows(g.n, g.adj, order))
 
 
 def add_vertex(g: Graph, neighborhood: int) -> Graph:

@@ -5,9 +5,7 @@ literals per clause, first-UIP conflict analysis with non-chronological
 backjumping, geometric restarts and periodic forgetting of unhelpful
 learned clauses. Everything is deterministic: no randomness, stable
 tie-breaking, so a formula always produces the same run. Decisions follow
-conflict-activity order with ties by variable index; a static
-highest-occurrence-count order is available, but it is far slower on
-satisfiable edge-splitting instances beyond roughly a hundred variables.
+conflict-activity order with ties by variable index.
 """
 
 from __future__ import annotations
@@ -55,16 +53,14 @@ def write_dimacs(f: CnfFormula) -> str:
 
 
 def sat_solve(
-    f: CnfFormula,
-    max_conflicts: int | None = None,
-    branching: str = "activity",
+    f: CnfFormula, max_conflicts: int | None = None
 ) -> tuple[bool, ...] | None:
     """A satisfying assignment (tuple indexed by var-1) or None for UNSAT.
 
     Raises :class:`BudgetExceededError` when ``max_conflicts`` runs out,
     which is a resource outcome distinct from UNSAT.
     """
-    solver = _Cdcl(f.var_count, f.clauses, branching)
+    solver = _Cdcl(f.var_count, f.clauses)
     model = solver.solve(max_conflicts)
     if model is None:
         return None
@@ -75,11 +71,8 @@ def sat_solve(
 
 
 class _Cdcl:
-    def __init__(self, nvars: int, clauses: list[tuple[int, ...]], branching: str):
-        if branching not in ("static", "activity"):
-            raise ValueError(f"unknown branching mode {branching!r}")
+    def __init__(self, nvars: int, clauses: list[tuple[int, ...]]):
         self.nv = nvars
-        self.branching = branching
         self.assign = bytearray(nvars)
         self.phase = bytearray(nvars)  # preferred value on decide; 0 means False
         self.level = [0] * nvars
@@ -93,7 +86,6 @@ class _Cdcl:
         self.lbd: dict[int, int] = {}
         self.activity = [0.0] * nvars
         self.act_inc = 1.0
-        occ = [0] * nvars
         self.unsat_root = False
         units: list[int] = []
         for cl in clauses:
@@ -101,16 +93,12 @@ class _Cdcl:
             if any(lit ^ 1 in litset for lit in litset):
                 continue  # tautology
             lits = sorted(litset)
-            for lit in lits:
-                occ[lit >> 1] += 1
             if len(lits) == 1:
                 units.append(lits[0])
                 continue
             self.clauses.append(lits)
             self.watches[lits[0]].append(lits)
             self.watches[lits[1]].append(lits)
-        # static decision order: most occurrences first, ties by index
-        self.static_order = sorted(range(nvars), key=lambda v: (-occ[v], v))
         for lit in units:
             if self._value(lit) == _FALSE:
                 self.unsat_root = True
@@ -229,19 +217,14 @@ class _Cdcl:
         self.qhead = min(self.qhead, len(self.trail))
 
     def _decide(self) -> int:
-        if self.branching == "static":
-            for v in self.static_order:
-                if self.assign[v] == _UNSET:
-                    return 2 * v + (0 if self.phase[v] == _TRUE else 1)
-        else:
-            best = -1
-            best_act = -1.0
-            for v in range(self.nv):
-                if self.assign[v] == _UNSET and self.activity[v] > best_act:
-                    best = v
-                    best_act = self.activity[v]
-            if best >= 0:
-                return 2 * best + (0 if self.phase[best] == _TRUE else 1)
+        best = -1
+        best_act = -1.0
+        for v in range(self.nv):
+            if self.assign[v] == _UNSET and self.activity[v] > best_act:
+                best = v
+                best_act = self.activity[v]
+        if best >= 0:
+            return 2 * best + (0 if self.phase[best] == _TRUE else 1)
         return -1
 
     def _reduce_db(self) -> None:

@@ -1,8 +1,9 @@
 """Symbolic forbidden subgraphs: cliques, near-cliques and short cycles.
 
 The family covers every pattern the toolkit forbids inside a color class:
-K_k, J_k = K_k minus an edge, the triangle with a pendant edge (K3+e),
-K_k minus the two edges of a 3-vertex path, and C_k.
+K_k, J_k = K_k minus an edge, K_k minus the two edges of a 3-vertex path,
+and C_k. The triangle with a pendant edge (K3+e) is exactly K4 minus a
+3-vertex path, so it is that target and keeps its own token ``K3e``.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from .graphs import Graph
 
 CLIQUE = "clique"
 CLIQUE_MINUS_EDGE = "clique_minus_edge"
-TRIANGLE_PLUS_PENDANT = "triangle_plus_pendant"
 CLIQUE_MINUS_P3 = "clique_minus_p3"
 CYCLE = "cycle"
 
@@ -28,14 +28,11 @@ class Target:
         limits = {
             CLIQUE: 2,
             CLIQUE_MINUS_EDGE: 4,
-            TRIANGLE_PLUS_PENDANT: 4,
             CLIQUE_MINUS_P3: 4,
             CYCLE: 3,
         }
         if self.kind not in limits:
             raise ValueError(f"unknown target kind {self.kind!r}")
-        if self.kind == TRIANGLE_PLUS_PENDANT and self.k != 4:
-            raise ValueError("the triangle-plus-pendant pattern has exactly 4 vertices")
         if self.k < limits[self.kind]:
             raise ValueError(f"{self.kind} needs k >= {limits[self.kind]}, got {self.k}")
 
@@ -50,10 +47,8 @@ class Target:
             return f"K{self.k}"
         if self.kind == CLIQUE_MINUS_EDGE:
             return f"J{self.k}"
-        if self.kind == TRIANGLE_PLUS_PENDANT:
-            return "K3e"
         if self.kind == CLIQUE_MINUS_P3:
-            return f"K{self.k}mP3"
+            return "K3e" if self.k == 4 else f"K{self.k}mP3"
         return f"C{self.k}"
 
     def pattern(self) -> Graph:
@@ -64,8 +59,6 @@ class Target:
             full = Graph.complete(self.k)
             edges = [e for e in full.edges() if e != (0, 1)]
             return Graph.from_edges(self.k, edges)
-        if self.kind == TRIANGLE_PLUS_PENDANT:
-            return Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
         if self.kind == CLIQUE_MINUS_P3:
             full = Graph.complete(self.k)
             edges = [e for e in full.edges() if e not in ((0, 1), (1, 2))]
@@ -85,7 +78,8 @@ def clique_minus_edge(k: int) -> Target:
 
 
 def triangle_plus_pendant() -> Target:
-    return Target(TRIANGLE_PLUS_PENDANT, 4)
+    """K3+e: the triangle with a pendant edge, which is K4 minus a P3."""
+    return Target(CLIQUE_MINUS_P3, 4)
 
 
 def clique_minus_p3(k: int) -> Target:

@@ -59,6 +59,13 @@ def count_with_edge_oracle(c, i, t, u, v):
         targets.triangle_plus_pendant(),
         targets.clique_minus_p3(5),
         targets.cycle(5),
+        targets.clique_minus_edge(5),
+        targets.clique_minus_edge(6),
+        targets.clique_minus_p3(4),
+        targets.clique_minus_p3(6),
+        targets.cycle(3),
+        targets.cycle(4),
+        targets.cycle(6),
     ],
 )
 def test_edge_copy_counts_match_naive_recount(t):

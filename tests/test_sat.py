@@ -62,12 +62,12 @@ def test_budget_error_is_distinct_from_unsat():
 def test_deterministic_models():
     f = pigeonhole(6, 6)
     assert sat_solve(f) == sat_solve(f)
-    assert sat_solve(f, branching="activity") == sat_solve(f, branching="activity")
+    assert sat_solve(f) == sat_solve(f)
 
 
 def test_activity_branching_agrees_on_verdicts():
-    assert sat_solve(pigeonhole(5, 4), branching="activity") is None
-    assert sat_solve(pigeonhole(4, 4), branching="activity") is not None
+    assert sat_solve(pigeonhole(5, 4)) is None
+    assert sat_solve(pigeonhole(4, 4)) is not None
 
 
 def test_dimacs_trivial_formula():

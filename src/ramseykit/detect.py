@@ -2,12 +2,13 @@
 
 Containment is always in the subgraph sense (never induced). This is the
 only module that knows how each target kind is found. Per kind it holds one
-lazy copy generator, which backs both :func:`list_copies` and
-:func:`contains`, and one closed form for the number of copies through a
-present edge {u,v}, which annealing uses to score a move. Everything works
-on neighborhood bitmasks: a clique is grown by intersecting candidate
-masks, J_k is located as a vertex pair whose common neighborhood holds a
-(k-2)-clique, and so on for the other patterns in the family.
+lazy copy generator, which backs :func:`list_copies`, :func:`contains` and
+the enumerator's screen :func:`critical_sets`, and one closed form for the
+number of copies through a present edge {u,v}, which annealing uses to
+score a move. Everything works on neighborhood bitmasks: a clique is grown
+by intersecting candidate masks, J_k is located as a vertex pair whose
+common neighborhood holds a (k-2)-clique, and so on for the other patterns
+in the family.
 """
 
 from __future__ import annotations
@@ -34,23 +35,6 @@ class CopyList:
 
     def __len__(self) -> int:
         return len(self.copies)
-
-
-def has_clique(adj: Sequence[int], cand: int, k: int) -> bool:
-    """Is there a k-clique using only vertices from the mask ``cand``?
-
-    Ascending-vertex recursion: each clique is sought starting from its
-    minimum vertex, so every branch shrinks the candidate mask.
-    """
-    if k <= 0:
-        return True
-    while cand.bit_count() >= k:
-        low = cand & -cand
-        v = low.bit_length() - 1
-        cand ^= low
-        if has_clique(adj, cand & adj[v], k - 1):
-            return True
-    return False
 
 
 def count_cliques(adj: Sequence[int], cand: int, k: int) -> int:
@@ -183,6 +167,34 @@ def contains(g: Graph, t: Target) -> bool:
 def list_copies(g: Graph, t: Target) -> CopyList:
     """Every distinct copy of ``t`` in ``g`` as a sorted edge tuple."""
     return CopyList(t, tuple(sorted(iter_copies(g, t))))
+
+
+def critical_sets(adj: Sequence[int], n: int, t: Target) -> list[int]:
+    """Minimal masks W such that a new vertex joined to all of W completes
+    a copy of ``t``, by (size, mask); W = 0 means ``t`` is already there.
+
+    The new vertex x = n is appended joined to everything, and each copy
+    of ``t`` gives the vertices it joins to x: its edges (a, n).
+    """
+    if t.order > n + 1:
+        return []
+    x = 1 << n
+    grown = [row | x for row in adj] + [x - 1]
+    found = set()
+    for copy in _COPIES[t.kind](grown, n + 1, t.k):
+        w = 0
+        for a, b in copy:
+            if b == n:
+                w |= 1 << a
+        found.add(w)
+    minimal: list[int] = []
+    for w in sorted(found, key=lambda m: (m.bit_count(), m)):
+        for m in minimal:
+            if m & w == m:
+                break
+        else:
+            minimal.append(w)
+    return minimal
 
 
 # Copies through a present edge {u,v}, in closed bitset form. C is the

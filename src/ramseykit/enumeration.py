@@ -6,24 +6,24 @@ from K1 and extending level by level therefore visits every isomorphism
 class exactly once after canonical-form deduplication; this file owns the
 extension step, the per-level statistics and the graph6 level archives.
 
-Extension is pruned structurally. For a triangle target the new vertex's
-neighborhood must be an independent set, which is enumerated directly.
-On the complement side, a J_k or K_k target forbids the new vertex from
-covering certain "critical" (k-1)-sets of the parent complement (cliques
-and one-edge-short cliques), precomputed per parent so each candidate
-neighborhood is screened with a handful of mask operations.
+Extension is screened the same way for every pair of targets. ``detect``
+lists the parent's critical sets for t1 and those of its complement for
+t2: the minimal vertex sets that a new vertex joined to all of them turns
+into a copy. A candidate neighborhood is then grown so that it contains
+no t1 set, and kept when it meets every t2 set.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from functools import partial
+from typing import Iterable, Iterator, Sequence
 
 from .canon import canon_raw, relabel_canonical
-from .detect import contains, has_clique, iter_cliques
-from .graphs import Graph, add_vertex, complement
-from .targets import CLIQUE, CLIQUE_MINUS_EDGE, Target
+from .detect import critical_sets
+from .graphs import Graph, iter_bits
+from .targets import Target
 
 _ORBIT_CAP = 4096
 
@@ -65,103 +65,49 @@ class EnumerationLimitError(RuntimeError):
         self.stats = stats
 
 
-def _independent_sets(adj: Sequence[int], pool: int) -> Iterator[int]:
-    """All independent sets (including the empty one) within ``pool``."""
+def _extensions(adj: tuple[int, ...], n: int, t1: Target, t2: Target) -> Iterator[int]:
+    """Neighborhood masks S whose one-vertex extension stays (t1,t2)-good.
+
+    S contains no t1 critical set of the parent and meets every t2 critical
+    set of its complement. S grows by ascending vertices: a singleton set
+    leaves the pool, a pair removes the partner, a larger set is checked
+    when its highest vertex enters.
+    """
+    full = (1 << n) - 1
+    comp_adj = [full ^ row ^ (1 << v) for v, row in enumerate(adj)]
+    inside = critical_sets(adj, n, t1)
+    meet = critical_sets(comp_adj, n, t2)
+    if inside[:1] == [0] or meet[:1] == [0]:
+        return  # the parent itself is not good
+    pool = full
+    partners = [0] * n
+    larger: list[list[int]] = [[] for _ in range(n)]
+    for w in inside:
+        if w.bit_count() == 1:
+            pool &= ~w
+        elif w.bit_count() == 2:
+            for a in iter_bits(w):
+                partners[a] |= w ^ (1 << a)
+        else:
+            larger[w.bit_length() - 1].append(w)
     stack = [(pool, 0)]
     while stack:
         pool, cur = stack.pop()
-        yield cur
+        for w in meet:
+            if not w & cur:
+                break
+        else:
+            yield cur
         while pool:
             low = pool & -pool
             v = low.bit_length() - 1
             pool ^= low
-            stack.append((pool & ~adj[v], cur | low))
-
-
-def _cme_critical_masks(
-    comp_adj: Sequence[int], n: int, k: int
-) -> tuple[list[int], list[int]]:
-    """(k-1)-sets of the parent complement that a J_k could grow from.
-
-    The new vertex is complement-adjacent to everything outside its chosen
-    neighborhood S, so a J_k through it completes over any listed set that
-    S fails to hit. Returns ``(need_any, need_two)``: sets one edge short
-    of complete must meet S in at least one vertex, complete ones in two.
-    """
-    full = (1 << n) - 1
-    need_two = list(iter_cliques(comp_adj, full, k - 1))
-    need_any: list[int] = []
-    for x in range(n):
-        for y in range(x + 1, n):
-            if (comp_adj[x] >> y) & 1:
-                continue
-            pairbits = (1 << x) | (1 << y)
-            for c in iter_cliques(comp_adj, comp_adj[x] & comp_adj[y], k - 3):
-                need_any.append(c | pairbits)
-    return need_any, need_two
-
-
-def _complement_filter(
-    comp_adj: Sequence[int], n: int, t2: Target
-) -> Callable[[int], bool] | None:
-    """Fast screen: does neighborhood S keep the complement t2-free?"""
-    if t2.kind == CLIQUE_MINUS_EDGE:
-        need_any, need_two = _cme_critical_masks(comp_adj, n, t2.k)
-
-        def ok_cme(s: int) -> bool:
-            for w in need_any:
-                if not w & s:
-                    return False
-            for w in need_two:
-                if (w & s).bit_count() < 2:
-                    return False
-            return True
-
-        return ok_cme
-    if t2.kind == CLIQUE:
-        full = (1 << n) - 1
-        covers = list(iter_cliques(comp_adj, full, t2.k - 1))
-
-        def ok_clique(s: int) -> bool:
-            for w in covers:
-                if not w & s:
-                    return False
-            return True
-
-        return ok_clique
-    return None
-
-
-def _extensions(adj: tuple[int, ...], n: int, t1: Target, t2: Target) -> Iterator[int]:
-    """Neighborhood masks S whose one-vertex extension stays (t1,t2)-good."""
-    full = (1 << n) - 1
-    comp_adj = tuple(full ^ row ^ (1 << v) for v, row in enumerate(adj))
-    comp_ok = _complement_filter(comp_adj, n, t2)
-
-    if t1.kind == CLIQUE and t1.k == 3:
-        candidates: Iterable[int] = _independent_sets(adj, full)
-        check_t1 = False
-    elif t1.kind == CLIQUE:
-        candidates = (s for s in range(1 << n) if not has_clique(adj, s, t1.k - 1))
-        check_t1 = False
-    else:
-        candidates = range(1 << n)
-        check_t1 = True
-
-    base = Graph(n, adj)
-    for s in candidates:
-        if comp_ok is not None:
-            if not comp_ok(s):
-                continue
-            if check_t1 and contains(add_vertex(base, s), t1):
-                continue
-        else:
-            child = add_vertex(base, s)
-            if check_t1 and contains(child, t1):
-                continue
-            if contains(complement(child), t2):
-                continue
-        yield s
+            s = cur | low
+            for w in larger[v]:
+                if w & s == w:
+                    break
+            else:
+                stack.append((pool & ~partners[v], s))
 
 
 def _orbit_min(s: int, gens: Sequence[tuple[int, ...]]) -> bool:
@@ -227,11 +173,6 @@ def _extend_records(
     return out
 
 
-def _extend_worker(args) -> dict[bytes, _ClassRec]:
-    records, t1, t2 = args
-    return _extend_records(records, t1, t2)
-
-
 def _extend_parallel(
     records: Sequence[_ClassRec], t1: Target, t2: Target, jobs: int
 ) -> dict[bytes, _ClassRec]:
@@ -241,12 +182,10 @@ def _extend_parallel(
 
     chunks = max(1, jobs * 4)
     step = (len(records) + chunks - 1) // chunks
-    work = [
-        (records[i : i + step], t1, t2) for i in range(0, len(records), step)
-    ]
+    work = [records[i : i + step] for i in range(0, len(records), step)]
     out: dict[bytes, _ClassRec] = {}
     with mp.Pool(jobs) as pool:
-        for part in pool.imap(_extend_worker, work):
+        for part in pool.imap(partial(_extend_records, t1=t1, t2=t2), work):
             for key, rec in part.items():
                 out.setdefault(key, rec)
     return out
@@ -292,13 +231,10 @@ def enumerate_good(
         canon_raw(1, (0,))[0]: _ClassRec((0,), ())
     }
     for order in range(1, n_max + 1):
-        if order > 1:
-            if level:
-                level = _extend_parallel(
-                    [rec for _, rec in sorted(level.items())], t1, t2, jobs
-                )
-            else:
-                level = {}
+        if order > 1 and level:
+            level = _extend_parallel(
+                [rec for _, rec in sorted(level.items())], t1, t2, jobs
+            )
         count = len(level)
         if class_limit is not None and count > class_limit:
             raise EnumerationLimitError(

@@ -152,6 +152,7 @@ def verify_schlafli(max_conflicts: int | None = None) -> Report:
     rep.add(f"graph: {g.n} vertices, {g.edge_count} edges")
     rep.require(is_strongly_regular(g, 10, 1, 5), "strongly regular (27,10,1,5)")
     rep.require(is_good(g, j4, j7), "(J4,J7;27)-good")
+    rep.add(f"J4 copies: {len(list_copies(g, j4))}")
     ok, witness = is_splittable(g, [j4, j4], max_conflicts=max_conflicts)
     rep.require(ok, "splits into two J4-free graphs")
     if witness is not None:
@@ -159,7 +160,16 @@ def verify_schlafli(max_conflicts: int | None = None) -> Report:
             not contains(witness.color_graph(i), j4) for i in range(2)
         )
         rep.require(halves_ok, "split witness validated")
-    comp_ok, _ = is_splittable(complement(g), [k3, j4], max_conflicts=max_conflicts)
+    comp = complement(g)
+    comp_ok, comp_witness = is_splittable(comp, [j4, j4], max_conflicts=max_conflicts)
+    rep.require(comp_ok, "complement splits into two J4-free graphs")
+    if comp_witness is not None:
+        verdict = coloring_is_valid(compose_coloring(g, comp_witness), [j4, j4, j4])
+        rep.require(
+            verdict.valid and verdict.assignment == (0, 1, 2),
+            "graph plus complement split is a (J4,J4,J4;27)-coloring",
+        )
+    comp_ok, _ = is_splittable(comp, [k3, j4], max_conflicts=max_conflicts)
     rep.require(not comp_ok, "complement is unsplittable for (K3, J4)")
     return rep
 

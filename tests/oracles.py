@@ -38,6 +38,30 @@ def naive_copies(g: Graph, t: Target) -> set[tuple[tuple[int, int], ...]]:
     return found
 
 
+def naive_extensions(g: Graph, t1: Target, t2: Target) -> set[int]:
+    """Neighborhood masks S of a new vertex that keep g + vertex (t1,t2)-good.
+
+    Tries all 2^n masks, building the child and its complement edge by edge.
+    """
+    n = g.n
+    found = set()
+    for s in range(1 << n):
+        edges = g.edges() + [(v, n) for v in range(n) if (s >> v) & 1]
+        child = Graph.from_edges(n + 1, edges)
+        if naive_copies(child, t1):
+            continue
+        missing = [
+            (u, v)
+            for u in range(n + 1)
+            for v in range(u + 1, n + 1)
+            if not child.has_edge(u, v)
+        ]
+        if naive_copies(Graph.from_edges(n + 1, missing), t2):
+            continue
+        found.add(s)
+    return found
+
+
 def brute_isomorphic(g: Graph, h: Graph) -> bool:
     if g.n != h.n or g.edge_count != h.edge_count:
         return False

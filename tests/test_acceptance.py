@@ -16,10 +16,10 @@ from ramseykit.constructions import (
     is_strongly_regular,
     schlafli,
 )
-from ramseykit.detect import coloring_is_valid, contains, is_good
+from ramseykit.detect import coloring_is_valid, contains, is_good, list_copies
 from ramseykit.enumeration import enumerate_good, extend_level
 from ramseykit.graphs import Graph, complement
-from ramseykit.split import is_splittable
+from ramseykit.split import compose_coloring, is_splittable
 from ramseykit.verify import (
     verify_figure,
     verify_j7_arrow,
@@ -91,9 +91,16 @@ def test_criterion_5_schlafli_suite():
     split_ok, witness = is_splittable(g, [J4, J4])
     ok = ok and split_ok and witness is not None
     ok = ok and all(not contains(witness.color_graph(i), J4) for i in range(2))
+    # the graph itself has no J4, so its (J4, J4) split alone is vacuous
+    ok = ok and len(list_copies(g, J4)) == 0
+    comp_j4, comp_witness = is_splittable(complement(g), [J4, J4])
+    ok = ok and comp_j4 and comp_witness is not None
+    verdict = coloring_is_valid(compose_coloring(g, comp_witness), [J4, J4, J4])
+    ok = ok and verdict.valid and verdict.assignment == (0, 1, 2)
     comp_split, _ = is_splittable(complement(g), [K3, J4])
     ok = ok and not comp_split
     report(5, "Schlafli graph: SRG(27,10,1,5), (J4,J7)-good, J4|J4-splittable, "
+              "complement J4|J4-splittable into a (J4,J4,J4;27)-coloring, "
               "complement unsplittable for K3|J4", ok)
 
 

@@ -7,7 +7,13 @@ from ramseykit import targets
 from ramseykit.coloring import EdgeColoring, parse_coloring_matrix
 from ramseykit.constructions import figure_coloring, two_k3
 from ramseykit.coloring import color_class
-from ramseykit.detect import coloring_is_valid, contains, is_good, list_copies
+from ramseykit.detect import (
+    coloring_is_valid,
+    contains,
+    critical_sets,
+    is_good,
+    list_copies,
+)
 from ramseykit.graphs import Graph, add_vertex, complement
 
 K3 = targets.clique(3)
@@ -74,6 +80,22 @@ def test_copies_match_oracle_on_random_graphs():
         for t in ALL_TARGETS:
             got = set(list_copies(g, t).copies)
             assert got == naive_copies(g, t), (g.adj, t)
+
+
+def test_critical_sets_are_the_minimal_completing_sets():
+    rng = random.Random(41)
+    for _ in range(20):
+        g = random_graph(rng, rng.randint(1, 5), rng.random())
+        for t in ALL_TARGETS:
+            completing = [
+                s for s in range(1 << g.n) if naive_copies(add_vertex(g, s), t)
+            ]
+            minimal = [
+                s for s in completing
+                if not any(w != s and w & s == w for w in completing)
+            ]
+            minimal.sort(key=lambda m: (m.bit_count(), m))
+            assert critical_sets(g.adj, g.n, t) == minimal, (g.adj, t)
 
 
 def test_contains_iff_copies_nonempty():

@@ -1,11 +1,12 @@
 import pytest
 
-from oracles import all_graphs
+from oracles import all_graphs, naive_extensions
 from ramseykit import targets
 from ramseykit.canon import canonical_form
 from ramseykit.detect import is_good
 from ramseykit.enumeration import (
     EnumerationLimitError,
+    _extensions,
     enumerate_good,
     extend_level,
 )
@@ -15,6 +16,11 @@ K3 = targets.clique(3)
 J4 = targets.clique_minus_edge(4)
 J7 = targets.clique_minus_edge(7)
 K3E = targets.triangle_plus_pendant()
+
+EXTENSION_PAIRS = [
+    "K3,J7", "K3e,J4", "K3,K3", "K4,K4", "K3,K5", "J4,J5",
+    "C4,C4", "C5,K4", "K3,K5mP3", "K5mP3,K3", "K3,C5",
+]
 
 
 def brute_level_counts(t1, t2, n_max):
@@ -37,6 +43,42 @@ def test_triangle_triangle_levels_match_brute_force():
 
 def test_c5_level_has_no_extension():
     assert extend_level([Graph.cycle(5)], K3, K3) == []
+
+
+def test_parent_with_the_target_has_no_extension():
+    assert extend_level([Graph.complete(3)], K3, K3) == []
+
+
+@pytest.mark.parametrize("pair", EXTENSION_PAIRS)
+def test_extensions_match_naive_on_every_good_parent(pair):
+    t1, t2 = targets.parse_target_list(pair)
+    level = [Graph.empty(1)]
+    for _ in range(5):
+        for g in level:
+            assert set(_extensions(g.adj, g.n, t1, t2)) == naive_extensions(g, t1, t2)
+        level = extend_level(level, t1, t2)
+
+
+@pytest.mark.parametrize("pair", EXTENSION_PAIRS)
+def test_extensions_match_naive_on_every_labeled_graph(pair):
+    # good or not: a parent holding t1, or whose complement holds t2, has none
+    t1, t2 = targets.parse_target_list(pair)
+    for n in range(1, 5):
+        for g in all_graphs(n):
+            assert set(_extensions(g.adj, g.n, t1, t2)) == naive_extensions(g, t1, t2)
+
+
+def test_all_graphs_match_oeis_a000088():
+    # K9 is out of reach below order 9, so every graph up to order 8 is good
+    k9 = targets.clique(9)
+    stats = enumerate_good(k9, k9, 8)
+    assert [r.count for r in stats.levels] == [1, 2, 4, 11, 34, 156, 1044, 12346]
+
+
+def test_triangle_free_graphs_match_oeis_a006785():
+    # R(3,12) is far above 9, so only the triangle side constrains the levels
+    stats = enumerate_good(K3, targets.clique(12), 9)
+    assert [r.count for r in stats.levels] == [1, 2, 3, 7, 14, 38, 107, 410, 1897]
 
 
 def test_k3e_j4_levels_match_brute_force():

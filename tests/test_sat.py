@@ -60,12 +60,15 @@ def test_budget_error_is_distinct_from_unsat():
 
 
 def test_deterministic_models():
-    f = pigeonhole(6, 6)
-    assert sat_solve(f) == sat_solve(f)
-    assert sat_solve(f) == sat_solve(f)
+    first, second = pigeonhole(6, 6), pigeonhole(6, 6)
+    model = sat_solve(first)
+    assert model is not None
+    assert sat_solve(second) == model
+    for clause in first.clauses:
+        assert any(model[abs(l) - 1] == (l > 0) for l in clause)
 
 
-def test_activity_branching_agrees_on_verdicts():
+def test_branching_agrees_on_verdicts():
     assert sat_solve(pigeonhole(5, 4)) is None
     assert sat_solve(pigeonhole(4, 4)) is not None
 

@@ -12,10 +12,9 @@ sibling branches through their orbits.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .graphs import Graph, iter_bits, relabel_rows
-
-_MAX_GENERATORS = 64
 
 
 def _refine(adj: tuple[int, ...], cells: list[int], queue: list[int]) -> list[int]:
@@ -87,7 +86,7 @@ class _Search:
             members = sorted(iter_bits(cell), key=lambda v: (self._column(v), v))
         explored: list[int] = []
         for v in members:
-            if explored and v in _orbit_closure(explored, self._fixing_generators()):
+            if explored and v in orbit_closure(explored, self._fixing_generators()):
                 continue
             child = self._enter(v, tight)
             if child is None:
@@ -126,15 +125,15 @@ class _Search:
             sigma = [0] * self.n
             for i, v in enumerate(self.placed):
                 sigma[perm[i]] = v
-            if len(self.gens) < _MAX_GENERATORS:
-                self.gens.append(tuple(sigma))
+            self.gens.append(tuple(sigma))
             return
         self.best_cols = list(self.cols)
         self.best_perm = tuple(self.placed)
         self.best_epoch += 1
 
 
-def _orbit_closure(start: list[int], gens: list[tuple[int, ...]]) -> set[int]:
+def orbit_closure(start: list[int], gens: Sequence[tuple[int, ...]]) -> set[int]:
+    """The vertices that products of ``gens`` map some vertex of ``start`` to."""
     seen = set(start)
     if not gens:
         return seen

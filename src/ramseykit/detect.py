@@ -79,37 +79,31 @@ def _clique_commons(
         yield from _clique_commons(adj, cand & adj[v], k - 1, common & adj[v])
 
 
-def _clique_copy(mask: int, *missing: Edge) -> Copy:
-    """The edges of the clique on ``mask`` minus ``missing``, sorted."""
-    verts = list(iter_bits(mask))
-    edges = [(u, v) for i, u in enumerate(verts) for v in verts[i + 1 :]]
-    for e in missing:
-        edges.remove(e)
-    return tuple(edges)
-
-
 def _pair(a: int, b: int) -> Edge:
     return (a, b) if a < b else (b, a)
 
 
-# Copy generators: every copy exactly once, as a sorted edge tuple.
+# Copy generators: every copy exactly once, as its vertex mask and the
+# pattern's non-edges among those vertices, each a sorted pair.
+
+Shape = tuple[int, tuple[Edge, ...]]
 
 
-def _clique_copies(adj: Sequence[int], n: int, k: int) -> Iterator[Copy]:
+def _clique_copies(adj: Sequence[int], n: int, k: int) -> Iterator[Shape]:
     for mask in iter_cliques(adj, (1 << n) - 1, k):
-        yield _clique_copy(mask)
+        yield mask, ()
 
 
-def _cme_copies(adj: Sequence[int], n: int, k: int) -> Iterator[Copy]:
+def _cme_copies(adj: Sequence[int], n: int, k: int) -> Iterator[Shape]:
     # x, y are the two non-adjacent tips; the spine is a (k-2)-clique
     for x in range(n):
         for y in range(x + 1, n):
             pair = (1 << x) | (1 << y)
             for spine in iter_cliques(adj, adj[x] & adj[y], k - 2):
-                yield _clique_copy(spine | pair, (x, y))
+                yield spine | pair, ((x, y),)
 
 
-def _cmp3_copies(adj: Sequence[int], n: int, k: int) -> Iterator[Copy]:
+def _cmp3_copies(adj: Sequence[int], n: int, k: int) -> Iterator[Shape]:
     # u-v is the path-ends edge, w the path centre, and the core is a
     # (k-3)-clique adjacent to all three
     for u in range(n):
@@ -121,20 +115,24 @@ def _cmp3_copies(adj: Sequence[int], n: int, k: int) -> Iterator[Copy]:
                     continue
                 ends = (1 << u) | (1 << v) | (1 << w)
                 for core in iter_cliques(adj, common & adj[w], k - 3):
-                    yield _clique_copy(core | ends, _pair(u, w), _pair(v, w))
+                    yield core | ends, (_pair(u, w), _pair(v, w))
 
 
-def _cycle_copies(adj: Sequence[int], n: int, k: int) -> Iterator[Copy]:
+def _cycle_copies(adj: Sequence[int], n: int, k: int) -> Iterator[Shape]:
     for s in range(n):
         allowed = ~((1 << (s + 1)) - 1)  # only vertices above the start
         path = [s]
 
-        def dfs(v: int, visited: int) -> Iterator[Copy]:
+        def dfs(v: int, visited: int) -> Iterator[Shape]:
             if len(path) == k:
                 # close the cycle; dedupe direction via second < last vertex
                 if (adj[v] >> s) & 1 and path[1] < path[-1]:
-                    edges = [_pair(a, b) for a, b in zip(path, path[1:] + [s])]
-                    yield tuple(sorted(edges))
+                    chords = tuple(
+                        _pair(path[i], path[j])
+                        for i in range(k)
+                        for j in range(i + 2, k - (i == 0))
+                    )
+                    yield visited, chords
                 return
             for u in iter_bits(adj[v] & allowed & ~visited):
                 path.append(u)
@@ -155,8 +153,13 @@ _COPIES = {
 def iter_copies(g: Graph, t: Target) -> Iterator[Copy]:
     """Lazily yield every copy of ``t`` in ``g`` once, as a sorted edge tuple."""
     if t.order > g.n:
-        return iter(())
-    return _COPIES[t.kind](g.adj, g.n, t.k)
+        return
+    for mask, missing in _COPIES[t.kind](g.adj, g.n, t.k):
+        verts = list(iter_bits(mask))
+        edges = [(u, v) for i, u in enumerate(verts) for v in verts[i + 1 :]]
+        for e in missing:
+            edges.remove(e)
+        yield tuple(edges)
 
 
 def contains(g: Graph, t: Target) -> bool:
@@ -174,18 +177,22 @@ def critical_sets(adj: Sequence[int], n: int, t: Target) -> list[int]:
     a copy of ``t``, by (size, mask); W = 0 means ``t`` is already there.
 
     The new vertex x = n is appended joined to everything, and each copy
-    of ``t`` gives the vertices it joins to x: its edges (a, n).
+    of ``t`` gives the vertices it joins to x: the copy's other vertices
+    less x's non-neighbours in the pattern.
     """
     if t.order > n + 1:
         return []
     x = 1 << n
     grown = [row | x for row in adj] + [x - 1]
     found = set()
-    for copy in _COPIES[t.kind](grown, n + 1, t.k):
-        w = 0
-        for a, b in copy:
-            if b == n:
-                w |= 1 << a
+    for mask, missing in _COPIES[t.kind](grown, n + 1, t.k):
+        if not mask & x:
+            found.add(0)
+            continue
+        w = mask ^ x
+        for a, b in missing:
+            if b == n:  # x is the highest vertex, so it ends its pairs
+                w ^= 1 << a
         found.add(w)
     minimal: list[int] = []
     for w in sorted(found, key=lambda m: (m.bit_count(), m)):

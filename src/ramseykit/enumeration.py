@@ -3,14 +3,24 @@
 Goodness is hereditary under vertex deletion, so every good graph of order
 n+1 arises from a good graph of order n by attaching one vertex. Starting
 from K1 and extending level by level therefore visits every isomorphism
-class exactly once after canonical-form deduplication; this file owns the
-extension step, the per-level statistics and the graph6 level archives.
+class; this file owns the extension step, the per-level statistics and the
+graph6 level archives.
 
 Extension is screened the same way for every pair of targets. ``detect``
 lists the parent's critical sets for t1 and those of its complement for
 t2: the minimal vertex sets that a new vertex joined to all of them turns
 into a copy. A candidate neighborhood is then grown so that it contains
 no t1 set, and kept when it meets every t2 set.
+
+Each class is built once, along McKay's canonical construction path
+(McKay 1998, "Isomorph-free exhaustive generation", J. Algorithms 26).
+A parent extends by one neighborhood per orbit of its automorphism group,
+and a child is kept only when its new vertex lies in the automorphism
+orbit of its canonical deletion vertex: the vertex with the largest
+(degree, sum of neighbour degrees), ties going to the lowest canonical
+position. A child whose new vertex does not have the largest invariant is
+dropped before it is built or labeled; for the rest, the labeling that
+gives the canonical key also decides the orbit test.
 """
 
 from __future__ import annotations
@@ -20,7 +30,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Iterable, Iterator, Sequence
 
-from .canon import canon_raw, relabel_canonical
+from .canon import canon_raw, orbit_closure, relabel_canonical
 from .detect import critical_sets
 from .graphs import Graph, iter_bits
 from .targets import Target
@@ -153,20 +163,62 @@ def _translate_gens(
     return tuple(tuple(pos[g[order[i]]] for i in range(n)) for g in gens)
 
 
+def _new_vertex_ties(
+    adj: tuple[int, ...],
+    deg: list[int],
+    nsum: list[int],
+    by_deg: list[int],
+    top: int,
+    s: int,
+) -> int | None:
+    """Old vertices whose (degree, sum of neighbour degrees) in the child
+    with neighborhood ``s`` equals the new vertex's; None if one is larger.
+
+    ``deg`` and ``nsum`` are the parent's, ``by_deg[d]`` masks its vertices
+    of degree d and ``top`` is its largest degree.
+    """
+    k = s.bit_count()
+    if k < top or by_deg[k] & s:  # an old vertex has the larger degree
+        return None
+    mine = k + sum(deg[v] for v in iter_bits(s))
+    ties = 0
+    # the old vertices of child degree k (for k = 0, s is empty)
+    for v in iter_bits((by_deg[k - 1] & s) | (by_deg[k] & ~s)):
+        inv = nsum[v] + (adj[v] & s).bit_count() + (k if (s >> v) & 1 else 0)
+        if inv > mine:
+            return None
+        if inv == mine:
+            ties |= 1 << v
+    return ties
+
+
 def _extend_records(
     records: Sequence[_ClassRec], t1: Target, t2: Target
 ) -> dict[bytes, _ClassRec]:
     out: dict[bytes, _ClassRec] = {}
     for rec in records:
-        n = len(rec.adj)
-        for s in _extensions(rec.adj, n, t1, t2):
-            if not _orbit_min(s, rec.gens):
+        adj = rec.adj
+        n = len(adj)
+        bit = 1 << n
+        deg = [row.bit_count() for row in adj]
+        nsum = [sum(deg[u] for u in iter_bits(row)) for row in adj]
+        top = max(deg)
+        by_deg = [0] * (n + 1)
+        for v, d in enumerate(deg):
+            by_deg[d] |= 1 << v
+        for s in _extensions(adj, n, t1, t2):
+            ties = _new_vertex_ties(adj, deg, nsum, by_deg, top, s)
+            if ties is None or not _orbit_min(s, rec.gens):
                 continue
-            bit = 1 << n
             child = tuple(
-                (row | bit) if (s >> v) & 1 else row for v, row in enumerate(rec.adj)
+                (row | bit) if (s >> v) & 1 else row for v, row in enumerate(adj)
             ) + (s,)
             key, order, gens = canon_raw(n + 1, child)
+            if ties:
+                # canonical deletion vertex: the tie at the lowest position
+                m = next(v for v in order if (ties | bit) >> v & 1)
+                if m != n and n not in orbit_closure([m], gens):
+                    continue
             if key not in out:
                 canon_adj = relabel_canonical(n + 1, child, order)
                 out[key] = _ClassRec(canon_adj, _translate_gens(order, gens))
@@ -186,16 +238,18 @@ def _extend_parallel(
     out: dict[bytes, _ClassRec] = {}
     with mp.Pool(jobs) as pool:
         for part in pool.imap(partial(_extend_records, t1=t1, t2=t2), work):
-            for key, rec in part.items():
-                out.setdefault(key, rec)
+            out.update(part)  # chunks of a level give disjoint classes
     return out
 
 
 def extend_level(level: Sequence[Graph], t1: Target, t2: Target) -> list[Graph]:
-    """All good isomorphism classes one order up, sorted by canonical key.
+    """Good isomorphism classes one order up, sorted by canonical key.
 
-    The input must be a complete, duplicate-free list of good classes at
-    some order; the output is then the complete class list at the next one.
+    ``level`` must be a duplicate-free subset of the complete list of good
+    classes at some order. The output is exactly the classes one order up
+    whose canonical parent (the child less its canonical deletion vertex)
+    lies in that subset: the whole level gives the whole next level, and
+    disjoint chunks of it give disjoint parts of the next level.
     """
     records = []
     for g in level:

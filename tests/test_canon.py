@@ -1,7 +1,7 @@
 import random
 
-from oracles import all_graphs, brute_isomorphic, random_graph
-from ramseykit.canon import are_isomorphic, canonical_form, canonical_labeling
+from oracles import all_graphs, brute_isomorphic, brute_orbits, random_graph
+from ramseykit.canon import are_isomorphic, canon_raw, canonical_form, canonical_labeling
 from ramseykit.constructions import two_k3
 from ramseykit.graphs import Graph, relabel
 
@@ -81,3 +81,39 @@ def test_highly_symmetric_graphs_terminate_quickly():
         key1 = canonical_form(g)
         key2 = canonical_form(relabel(g, tuple(reversed(range(g.n)))))
         assert key1 == key2
+
+
+def generator_orbits(n, gens):
+    """Vertex orbits of the group the permutations ``gens`` generate."""
+    parent = list(range(n))
+
+    def root(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for g in gens:
+        for v in range(n):
+            parent[root(v)] = root(g[v])
+    orbits = {}
+    for v in range(n):
+        orbits.setdefault(root(v), set()).add(v)
+    return {frozenset(o) for o in orbits.values()}
+
+
+def test_generators_reach_every_vertex_of_large_groups():
+    # groups of order 16! and 2 * 8!^2: no generator the search finds may be dropped
+    k88 = Graph.from_edges(16, [(a, b) for a in range(8) for b in range(8, 16)])
+    for g in [Graph.empty(16), k88]:
+        _, _, gens = canon_raw(g.n, g.adj)
+        assert generator_orbits(g.n, gens) == {frozenset(range(16))}
+
+
+def test_generator_orbits_match_brute_force():
+    # canonical augmentation relies on the generators giving whole orbits
+    rng = random.Random(2024)
+    for _ in range(1000):
+        n = rng.randint(1, 7)
+        g = random_graph(rng, n, rng.choice([0.1, 0.3, 0.5, 0.7, 0.9]))
+        _, _, gens = canon_raw(g.n, g.adj)
+        assert generator_orbits(g.n, gens) == brute_orbits(g)

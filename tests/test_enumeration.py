@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from oracles import all_graphs, naive_extensions
@@ -76,9 +78,29 @@ def test_all_graphs_match_oeis_a000088():
 
 
 def test_triangle_free_graphs_match_oeis_a006785():
-    # R(3,12) is far above 9, so only the triangle side constrains the levels
-    stats = enumerate_good(K3, targets.clique(12), 9)
-    assert [r.count for r in stats.levels] == [1, 2, 3, 7, 14, 38, 107, 410, 1897]
+    # R(3,12) is far above 10, so only the triangle side constrains the levels
+    stats = enumerate_good(K3, targets.clique(12), 10)
+    assert [r.count for r in stats.levels] == [
+        1, 2, 3, 7, 14, 38, 107, 410, 1897, 12172
+    ]
+
+
+@pytest.mark.parametrize("pair, order", [("K3,J7", 7), ("K9,K9", 6)])
+def test_chunks_of_a_level_extend_to_disjoint_parts_of_the_next(pair, order):
+    # each class comes from its canonical parent alone, whichever chunk that is in
+    t1, t2 = targets.parse_target_list(pair)
+    level = [Graph.empty(1)]
+    for _ in range(order - 1):
+        level = extend_level(level, t1, t2)
+    whole = [canonical_form(g) for g in extend_level(level, t1, t2)]
+    shuffled = list(level)
+    random.Random(order).shuffle(shuffled)
+    seen: set[bytes] = set()
+    for start, stop in [(0, 1), (1, 8), (8, 40), (40, len(shuffled))]:
+        part = {canonical_form(g) for g in extend_level(shuffled[start:stop], t1, t2)}
+        assert not part & seen
+        seen |= part
+    assert seen == set(whole)
 
 
 def test_k3e_j4_levels_match_brute_force():

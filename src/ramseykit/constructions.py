@@ -123,8 +123,9 @@ def check_triple_triangle_free_plus_pendant(c: EdgeColoring) -> TriangleReport:
             return TriangleReport(False, c.n, i, ())
     last = color_class(c, c.m - 1)
     triangles = []
-    for copy in list_copies(last, tri).copies:
-        verts = tuple(sorted({v for e in copy for v in e}))
+    found = list_copies(last, tri)
+    for copy in found.copies:
+        verts = tuple(sorted({v for e in found.copy_edges(copy) for v in e}))
         pend = any(
             last.adj[v] & ~sum(1 << w for w in verts) for v in verts
         )

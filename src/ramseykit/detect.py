@@ -9,6 +9,9 @@ score a move. Everything works on neighborhood bitmasks: a clique is grown
 by intersecting candidate masks, J_k is located as a vertex pair whose
 common neighborhood holds a (k-2)-clique, and so on for the other patterns
 in the family.
+
+It also owns the edge numbering of copies: :func:`list_copies` gives each
+copy as an edge-index bitmask, bit i meaning ``g.edges()[i]``.
 """
 
 from __future__ import annotations
@@ -23,18 +26,24 @@ from .graphs import Graph, complement, iter_bits
 from .targets import CLIQUE, CLIQUE_MINUS_EDGE, CLIQUE_MINUS_P3, CYCLE, Target
 
 Edge = tuple[int, int]
-Copy = tuple[Edge, ...]
 
 
 @dataclass(frozen=True)
 class CopyList:
-    """All copies of a target in a host, each copy a sorted edge tuple."""
+    """All copies of a target in a host as edge-index bitmasks: bit i of a
+    copy means ``edges[i]``, and ``edges`` is the host's sorted ``g.edges()``.
+    Copies are in the lexicographic order of their sorted edge tuples."""
 
     target: Target
-    copies: tuple[Copy, ...]
+    edges: tuple[Edge, ...]
+    copies: tuple[int, ...]
 
     def __len__(self) -> int:
         return len(self.copies)
+
+    def copy_edges(self, copy: int) -> tuple[Edge, ...]:
+        """The sorted edge tuple of one copy."""
+        return tuple(self.edges[i] for i in iter_bits(copy))
 
 
 def count_cliques(adj: Sequence[int], cand: int, k: int) -> int:
@@ -150,26 +159,33 @@ _COPIES = {
 }
 
 
-def iter_copies(g: Graph, t: Target) -> Iterator[Copy]:
-    """Lazily yield every copy of ``t`` in ``g`` once, as a sorted edge tuple."""
-    if t.order > g.n:
-        return
-    for mask, missing in _COPIES[t.kind](g.adj, g.n, t.k):
-        verts = list(iter_bits(mask))
-        edges = [(u, v) for i, u in enumerate(verts) for v in verts[i + 1 :]]
-        for e in missing:
-            edges.remove(e)
-        yield tuple(edges)
-
-
 def contains(g: Graph, t: Target) -> bool:
     """Does ``g`` contain a (not necessarily induced) copy of ``t``?"""
-    return next(iter_copies(g, t), None) is not None
+    return next(_COPIES[t.kind](g.adj, g.n, t.k), None) is not None
 
 
 def list_copies(g: Graph, t: Target) -> CopyList:
-    """Every distinct copy of ``t`` in ``g`` as a sorted edge tuple."""
-    return CopyList(t, tuple(sorted(iter_copies(g, t))))
+    """Every distinct copy of ``t`` in ``g`` as an edge-index bitmask."""
+    edges = tuple(g.edges())
+    bit = [[0] * g.n for _ in range(g.n)]  # bit[v][u]: edge (u, v), u < v
+    for i, (u, v) in enumerate(edges):
+        bit[v][u] = 1 << i
+    copies = []
+    for mask, missing in _COPIES[t.kind](g.adj, g.n, t.k):
+        copy = 0
+        below: list[int] = []
+        for v in iter_bits(mask):
+            row = bit[v]
+            for u in below:
+                copy |= row[u]
+            below.append(v)
+        for a, b in missing:
+            copy &= ~bit[b][a]
+        copies.append(copy)
+    # Copies of one target have equal edge counts, so the earlier of two in
+    # sorted-edge order holds the lowest bit of A ^ B: it reads larger low bit first.
+    copies.sort(key=lambda c: format(c, "b")[::-1], reverse=True)
+    return CopyList(t, edges, tuple(copies))
 
 
 def critical_sets(adj: Sequence[int], n: int, t: Target) -> list[int]:
@@ -320,5 +336,5 @@ def coloring_is_valid(c: EdgeColoring, targets: Sequence[Target]) -> ColoringVer
         if not any(contains(classes[i], arranged[i]) for i in range(c.m)):
             return ColoringVerdict(True, perm)
     bad = orders.index(True)
-    witness = list_copies(classes[bad], targets[bad]).copies[0]
-    return ColoringVerdict(False, None, bad, witness)
+    found = list_copies(classes[bad], targets[bad])
+    return ColoringVerdict(False, None, bad, found.copy_edges(found.copies[0]))

@@ -32,6 +32,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .canon import canon_raw, orbit_closure, relabel_canonical
 from .detect import critical_sets
+from .graph6 import write_graph6
 from .graphs import Graph, iter_bits
 from .targets import Target
 
@@ -315,11 +316,8 @@ def archive_filename(t1: Target, t2: Target, order: int) -> str:
 def _write_archive(
     emit_dir: str, t1: Target, t2: Target, order: int, level: dict[bytes, _ClassRec]
 ) -> None:
-    from .graph6 import emit_graph6
-
     os.makedirs(emit_dir, exist_ok=True)
     path = os.path.join(emit_dir, archive_filename(t1, t2, order))
     with open(path, "w", encoding="ascii") as fh:
-        for _, rec in sorted(level.items()):
-            fh.write(emit_graph6(Graph(len(rec.adj), rec.adj)))
-            fh.write("\n")
+        graphs = (Graph(len(rec.adj), rec.adj) for _, rec in sorted(level.items()))
+        write_graph6(fh, graphs)

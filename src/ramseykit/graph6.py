@@ -64,6 +64,7 @@ def parse_graph6(text: str) -> Graph:
         raise Graph6FormatError("trailing data after bit vector", pos + nbytes)
     rows = [0] * n
     bit_at = 0
+    u, v = 0, 1  # the pair of bit ``bit_at``, in emit_graph6's column order
     for k in range(nbytes):
         byte = ord(data[pos + k])
         if not 63 <= byte <= 126:
@@ -75,19 +76,13 @@ def parse_graph6(text: str) -> Graph:
                     raise Graph6FormatError("nonzero padding bits", pos + k)
                 continue
             if (group >> b) & 1:
-                u, v = _pair_at(bit_at)
                 rows[u] |= 1 << v
                 rows[v] |= 1 << u
             bit_at += 1
+            u += 1
+            if u == v:
+                u, v = 0, v + 1
     return Graph(n, tuple(rows))
-
-
-def _pair_at(index: int) -> tuple[int, int]:
-    # column-major position: pairs (0,1),(0,2),(1,2),(0,3),...
-    v = 1
-    while v * (v - 1) // 2 + v <= index:
-        v += 1
-    return index - v * (v - 1) // 2, v
 
 
 def iter_graph6(stream: TextIO) -> Iterator[Graph]:

@@ -10,7 +10,7 @@ conflict-activity order with ties by variable index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 Edge = tuple[int, int]
 
@@ -23,11 +23,12 @@ class BudgetExceededError(RuntimeError):
 
 @dataclass
 class CnfFormula:
-    """Clauses over 1-based variables; ``var_map`` ties edges to variables."""
+    """Clauses over 1-based variables; when ``edges`` is given, variable v
+    stands for the host edge ``edges[v-1]``."""
 
     var_count: int
     clauses: list[tuple[int, ...]]
-    var_map: dict[Edge, int] = field(default_factory=dict)
+    edges: tuple[Edge, ...] = ()
 
     def __post_init__(self) -> None:
         for i, cl in enumerate(self.clauses):
@@ -36,15 +37,14 @@ class CnfFormula:
             for lit in cl:
                 if lit == 0 or abs(lit) > self.var_count:
                     raise ValueError(f"clause {i} has literal {lit} out of range")
-        for edge, var in self.var_map.items():
-            if not 1 <= var <= self.var_count:
-                raise ValueError(f"edge {edge} maps to variable {var} out of range")
+        if self.edges and len(self.edges) != self.var_count:
+            raise ValueError(f"{len(self.edges)} edges for {self.var_count} variables")
 
 
 def write_dimacs(f: CnfFormula) -> str:
     """Standard DIMACS CNF text; comments carry the edge-variable map."""
     lines = []
-    for (u, v), var in sorted(f.var_map.items(), key=lambda kv: kv[1]):
+    for var, (u, v) in enumerate(f.edges, 1):
         lines.append(f"c edge {u} {v} var {var}")
     lines.append(f"p cnf {f.var_count} {len(f.clauses)}")
     for cl in f.clauses:

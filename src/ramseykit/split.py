@@ -6,7 +6,8 @@ Two independent engines decide the two-color case: a reduction to CNF
 (one Boolean variable per edge, one clause per forbidden copy) solved by
 the embedded SAT procedure, and a recursive edge colorer that extends a
 partial coloring one edge at a time. More than two colors always use the
-recursive engine.
+recursive engine. Both take copies as :mod:`detect` gives them: edge-index
+bitmasks over ``g.edges()``, whose bit i is SAT variable i + 1.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Sequence
 
 from .coloring import EdgeColoring
 from .detect import list_copies
-from .graphs import Graph, complement
+from .graphs import Graph, complement, iter_bits
 from .sat import CnfFormula, sat_solve
 from .targets import Target
 
@@ -41,27 +42,22 @@ class SplitWitness:
 def encode_split_cnf(g: Graph, t_false: Target, t_true: Target) -> CnfFormula:
     """CNF satisfiable exactly when ``g`` splits into (t_false, t_true).
 
-    Edges are variables; False plays color 1 and True color 2. Each copy of
-    ``t_false`` contributes an all-positive clause (some edge must leave
-    color 1) and each copy of ``t_true`` an all-negative one.
+    Edges are variables, variable v being ``g.edges()[v-1]``; False plays
+    color 1 and True color 2. Each copy of ``t_false`` contributes an
+    all-positive clause (some edge must leave color 1) and each copy of
+    ``t_true`` an all-negative one.
     """
-    edges = g.edges()
-    if not edges:
+    if g.edge_count == 0:
         raise ValueError("cannot encode an edgeless graph")
-    var_map = {e: i + 1 for i, e in enumerate(edges)}
-    clauses: list[tuple[int, ...]] = []
-    for copy in list_copies(g, t_false).copies:
-        clauses.append(tuple(var_map[e] for e in copy))
-    for copy in list_copies(g, t_true).copies:
-        clauses.append(tuple(-var_map[e] for e in copy))
-    return CnfFormula(len(edges), clauses, var_map)
+    found = list_copies(g, t_false)
+    clauses = [tuple(i + 1 for i in iter_bits(cp)) for cp in found.copies]
+    for cp in list_copies(g, t_true).copies:
+        clauses.append(tuple(-1 - i for i in iter_bits(cp)))
+    return CnfFormula(len(found.edges), clauses, found.edges)
 
 
-def _witness_from_model(
-    g: Graph, model: Sequence[bool], var_map: dict[Edge, int]
-) -> SplitWitness:
-    colors = tuple((e, 1 if model[var - 1] else 0) for e, var in sorted(var_map.items()))
-    return SplitWitness(g.n, 2, colors)
+def _witness_from_model(g: Graph, model: Sequence[bool], f: CnfFormula) -> SplitWitness:
+    return SplitWitness(g.n, 2, tuple((e, int(x)) for e, x in zip(f.edges, model)))
 
 
 def recursive_split(g: Graph, targets: Sequence[Target]) -> SplitWitness | None:
@@ -80,12 +76,9 @@ def recursive_split(g: Graph, targets: Sequence[Target]) -> SplitWitness | None:
     m = len(targets)
     if not edges:
         return SplitWitness(g.n, m, ())
-    eidx = {e: i for i, e in enumerate(edges)}
     ecount = len(edges)
 
-    copies: list[list[list[int]]] = []
-    for t in targets:
-        copies.append([[eidx[e] for e in cp] for cp in list_copies(g, t).copies])
+    copies = [[list(iter_bits(cp)) for cp in list_copies(g, t).copies] for t in targets]
     sizes = [[len(cp) for cp in cs] for cs in copies]
     same = [[0] * len(cs) for cs in copies]
     dead = [[0] * len(cs) for cs in copies]
@@ -173,8 +166,7 @@ def recursive_split(g: Graph, targets: Sequence[Target]) -> SplitWitness | None:
 
     if not rec(0):
         return None
-    colors = tuple((e, assigned[eidx[e]]) for e in edges)
-    return SplitWitness(g.n, m, colors)
+    return SplitWitness(g.n, m, tuple(zip(edges, assigned)))
 
 
 def is_splittable(
@@ -200,7 +192,7 @@ def is_splittable(
         return (w is not None), w
     f = encode_split_cnf(g, targets[0], targets[1])
     model = sat_solve(f, max_conflicts=max_conflicts)
-    witness = None if model is None else _witness_from_model(g, model, f.var_map)
+    witness = None if model is None else _witness_from_model(g, model, f)
     if engine == "both":
         other = recursive_split(g, targets)
         if (other is None) != (model is None):

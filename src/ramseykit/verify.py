@@ -81,17 +81,12 @@ def verify_lemma_hex() -> Report:
 
 
 def _arrowing_misses(g: Graph, t1: Target, t2: Target) -> tuple[int, int]:
-    """(#colorings with no t1 in color 1 and no t2 in color 2, #examined)."""
-    edges = g.edges()
-    nedges = len(edges)
-    index = {e: i for i, e in enumerate(edges)}
-    masks1 = [
-        sum(1 << index[e] for e in cp) for cp in list_copies(g, t1).copies
-    ]
-    masks2 = [
-        sum(1 << index[e] for e in cp) for cp in list_copies(g, t2).copies
-    ]
-    states = np.arange(1 << nedges, dtype=np.uint32)
+    """(#colorings with no t1 in color 1 and no t2 in color 2, #examined).
+
+    Bit i of a state puts edge i in color 1, as bit i of a copy names it."""
+    masks1 = list_copies(g, t1).copies
+    masks2 = list_copies(g, t2).copies
+    states = np.arange(1 << g.edge_count, dtype=np.uint32)
     has1 = np.zeros(states.shape, dtype=bool)
     for cm in masks1:
         has1 |= (states & cm) == cm  # copy entirely in color 1

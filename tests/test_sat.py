@@ -24,6 +24,13 @@ def test_rejects_out_of_range_literal():
         CnfFormula(1, [(2,)])
 
 
+def test_rejects_edge_tuple_of_wrong_length():
+    with pytest.raises(ValueError, match="edges"):
+        CnfFormula(2, [(1, -2)], ((0, 1),))
+    with pytest.raises(ValueError, match="edges"):
+        CnfFormula(1, [(1,)], ((0, 1), (0, 2)))
+
+
 def test_single_variable():
     assert sat_solve(CnfFormula(1, [(1,)])) == (True,)
     assert sat_solve(CnfFormula(1, [(-1,)])) == (False,)
@@ -89,7 +96,7 @@ def test_dimacs_header_counts_match_lines():
 
 
 def test_dimacs_records_edge_map():
-    f = CnfFormula(2, [(1, -2)], {(0, 1): 1, (0, 2): 2})
+    f = CnfFormula(2, [(1, -2)], ((0, 1), (0, 2)))
     text = write_dimacs(f)
     assert "c edge 0 1 var 1" in text
     assert "c edge 0 2 var 2" in text

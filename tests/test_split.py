@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from oracles import brute_splittable_2, brute_splittable_m, random_graph
+from oracles import brute_splittable_2, brute_splittable_m, naive_copies, random_graph
 from ramseykit import targets
 from ramseykit.coloring import color_class
 from ramseykit.detect import coloring_is_valid, contains, list_copies
@@ -47,6 +47,27 @@ def test_encode_clause_count_equals_copy_counts():
         f = encode_split_cnf(g, K3, J4)
         expect = len(list_copies(g, K3)) + len(list_copies(g, J4))
         assert len(f.clauses) == expect
+
+
+def test_encode_clauses_match_oracle_order():
+    # variable v is g.edges()[v-1]; t1 copies come first as positive
+    # clauses, then t2 copies negated, each in lexicographic edge order
+    rng = random.Random(2024)
+    pairs = [(K3, J4), (K3E, J4), (targets.cycle(4), K3), (J4, targets.cycle(5))]
+    checked = 0
+    for _ in range(30):
+        g = random_graph(rng, rng.randint(4, 7), rng.random())
+        if g.edge_count == 0:
+            continue
+        var = {e: i + 1 for i, e in enumerate(g.edges())}
+        for t1, t2 in pairs:
+            expect = [tuple(var[e] for e in cp) for cp in sorted(naive_copies(g, t1))]
+            expect += [tuple(-var[e] for e in cp) for cp in sorted(naive_copies(g, t2))]
+            f = encode_split_cnf(g, t1, t2)
+            assert f.clauses == expect, (g.adj, t1, t2)
+            assert f.edges == tuple(g.edges())
+            checked += len(expect)
+    assert checked > 0
 
 
 def test_encode_triangle_is_satisfiable_two_clauses():

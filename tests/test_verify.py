@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from oracles import brute_splittable_2, random_graph
 from ramseykit import targets, verify
 from ramseykit.enumeration import enumerate_good, extend_level
 from ramseykit.graphs import Graph
@@ -23,6 +26,36 @@ def test_j7_arrow_passes_over_full_space():
     text = str(report)
     assert "colorings examined: 1048576" in text
     assert "R(K3e,J4) = 7" in text
+
+
+def test_arrowing_misses_counts_the_avoiding_colorings():
+    k3 = targets.clique(3)
+    # the triangle-free 2-colorings of K5 are its 12 labeled 5-cycles,
+    # each with its complementary 5-cycle in the other color
+    assert verify._arrowing_misses(Graph.complete(5), k3, k3) == (12, 1 << 10)
+    assert verify._arrowing_misses(Graph.complete(6), k3, k3) == (0, 1 << 15)
+
+
+def test_arrowing_misses_agree_with_brute_force():
+    rng = random.Random(11)
+    pairs = [
+        (targets.clique(3), targets.clique(3)),
+        (targets.clique(3), targets.clique_minus_edge(4)),
+        (targets.cycle(4), targets.cycle(4)),
+        (targets.clique(2), targets.clique(3)),
+    ]
+    seen = set()
+    for _ in range(40):
+        g = random_graph(rng, rng.randint(5, 7), rng.uniform(0.5, 1.0))
+        if g.edge_count > 15:
+            continue
+        for t1, t2 in pairs:
+            misses, examined = verify._arrowing_misses(g, t1, t2)
+            assert examined == 1 << g.edge_count
+            splittable = brute_splittable_2(g, t1, t2)
+            assert (misses > 0) == splittable, (g.adj, t1, t2)
+            seen.add(splittable)
+    assert seen == {True, False}
 
 
 def test_figures_pass():

@@ -205,6 +205,15 @@ def _cmd_extend_c50(args) -> int:
     return EXIT_OK if report.valid else EXIT_FAIL
 
 
+ENGINE_ARG = dict(
+    choices=["auto", "sat", "recurse", "both"],
+    default="auto",
+    help="auto and sat use the SAT solver for two targets; recurse and both "
+    "(a cross-check) may not finish on 20-vertex hosts with J4 targets, "
+    "where SAT answers in about a second",
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ramseykit",
@@ -225,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("split", help="batch splittability verdicts for a graph6 stream")
     p.add_argument("--targets", required=True, help="comma-separated targets, e.g. K3,J4")
-    p.add_argument("--engine", choices=["auto", "sat", "recurse", "both"], default="auto")
+    p.add_argument("--engine", **ENGINE_ARG)
     p.add_argument("--input", default="-", help="graph6 file (default: stdin)")
     p.add_argument("--max-conflicts", type=int)
     p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
@@ -234,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("arrow", help="does a graph arrow the target list?")
     p.add_argument("--graph", required=True, help="graph6 file, or - for stdin")
     p.add_argument("--targets", required=True)
-    p.add_argument("--engine", choices=["auto", "sat", "recurse", "both"], default="auto")
+    p.add_argument("--engine", **ENGINE_ARG)
     p.add_argument("--max-conflicts", type=int)
     p.add_argument(
         "--witness-out",

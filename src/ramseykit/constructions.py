@@ -18,7 +18,7 @@ from itertools import combinations
 from .coloring import EdgeColoring, color_class, parse_coloring_matrix
 from .detect import contains, list_copies
 from .graphs import Graph
-from .targets import Target, clique, triangle_plus_pendant
+from .targets import clique, triangle_plus_pendant
 
 FIG3 = "FIG3"
 FIG4 = "FIG4"

@@ -2,13 +2,13 @@
 
 Containment is always in the subgraph sense (never induced). This is the
 only module that knows how each target kind is found. Per kind it holds one
-lazy copy generator, which backs :func:`list_copies`, :func:`contains` and
-the enumerator's screen :func:`critical_sets`, and one closed form for the
-number of copies through a present edge {u,v}, which annealing uses to
-score a move. Everything works on neighborhood bitmasks: a clique is grown
-by intersecting candidate masks, J_k is located as a vertex pair whose
-common neighborhood holds a (k-2)-clique, and so on for the other patterns
-in the family.
+lazy copy generator, which backs :func:`list_copies`, :func:`count_copies`,
+:func:`contains` and the enumerator's screen :func:`critical_sets`, and one
+closed form for the number of copies through a present edge {u,v}, which
+annealing uses to score a move. Everything works on neighborhood bitmasks:
+a clique is grown by intersecting candidate masks, J_k is located as a
+vertex pair whose common neighborhood holds a (k-2)-clique, and so on for
+the other patterns in the family.
 
 It also owns the edge numbering of copies: :func:`list_copies` gives each
 copy as an edge-index bitmask, bit i meaning ``g.edges()[i]``.
@@ -162,6 +162,12 @@ _COPIES = {
 def contains(g: Graph, t: Target) -> bool:
     """Does ``g`` contain a (not necessarily induced) copy of ``t``?"""
     return next(_COPIES[t.kind](g.adj, g.n, t.k), None) is not None
+
+
+def count_copies(g: Graph, t: Target) -> int:
+    """Number of distinct copies of ``t`` in ``g``; ``len(list_copies(g, t))``
+    without building or sorting the copies."""
+    return sum(1 for _ in _COPIES[t.kind](g.adj, g.n, t.k))
 
 
 def list_copies(g: Graph, t: Target) -> CopyList:

@@ -6,7 +6,13 @@ backjumping, geometric restarts and periodic forgetting of unhelpful
 learned clauses. Everything is deterministic: no randomness, stable
 tie-breaking, so a formula always produces the same run. Decisions follow
 conflict-activity order with ties by variable index.
-"""
+
+Inside the solver, CNF variable v + 1 is variable v, with literals 2v
+(true) and 2v + 1 (false). The assignment is one value byte per literal,
+as in MiniSat (Een & Sorensson 2003, "An Extensible SAT-solver"): both
+polarities are set on assignment and cleared on backtrack, so propagation
+reads a literal's value with one index, and variable v's value is the byte
+of literal 2v."""
 
 from __future__ import annotations
 
@@ -73,7 +79,7 @@ def sat_solve(
 class _Cdcl:
     def __init__(self, nvars: int, clauses: list[tuple[int, ...]]):
         self.nv = nvars
-        self.assign = bytearray(nvars)
+        self.val = bytearray(2 * nvars)  # per literal; val[2 * v] is variable v's value
         self.phase = bytearray(nvars)  # preferred value on decide; 0 means False
         self.level = [0] * nvars
         self.reason: list[list[int] | None] = [None] * nvars
@@ -100,118 +106,121 @@ class _Cdcl:
             self.watches[lits[0]].append(lits)
             self.watches[lits[1]].append(lits)
         for lit in units:
-            if self._value(lit) == _FALSE:
+            if self.val[lit] == _FALSE:
                 self.unsat_root = True
                 return
-            if self._value(lit) == _UNSET:
+            if self.val[lit] == _UNSET:
                 self._enqueue(lit, None)
-
-    def _value(self, lit: int) -> int:
-        a = self.assign[lit >> 1]
-        if a == _UNSET:
-            return _UNSET
-        return _TRUE if (a == _TRUE) == (lit & 1 == 0) else _FALSE
 
     def _enqueue(self, lit: int, reason: list[int] | None) -> None:
         var = lit >> 1
-        self.assign[var] = _TRUE if lit & 1 == 0 else _FALSE
-        self.phase[var] = self.assign[var]
+        self.val[lit] = _TRUE
+        self.val[lit ^ 1] = _FALSE
+        self.phase[var] = _FALSE if lit & 1 else _TRUE
         self.level[var] = len(self.trail_lim)
         self.reason[var] = reason
         self.trail.append(lit)
 
     def _propagate(self) -> list[int] | None:
-        while self.qhead < len(self.trail):
-            lit = self.trail[self.qhead]
-            self.qhead += 1
-            false_lit = lit ^ 1
-            ws = self.watches[false_lit]
+        trail, watches, val = self.trail, self.watches, self.val
+        phase, level, reason = self.phase, self.level, self.reason
+        true, false = _TRUE, _FALSE
+        cur_level = len(self.trail_lim)
+        qhead = self.qhead
+        conflict: list[int] | None = None
+        while conflict is None and qhead < len(trail):
+            false_lit = trail[qhead] ^ 1
+            qhead += 1
+            ws = iter(watches[false_lit])
             keep: list[list[int]] = []
-            conflict: list[int] | None = None
-            for ci, c in enumerate(ws):
-                if c[0] == false_lit:
-                    c[0], c[1] = c[1], c[0]
+            for c in ws:
+                # c watches false_lit in c[0] or c[1]; move it to c[1]
                 first = c[0]
-                if self._value(first) == _TRUE:
+                if first == false_lit:
+                    first = c[0] = c[1]
+                    c[1] = false_lit
+                if val[first] == true:
                     keep.append(c)
                     continue
-                moved = False
                 for j in range(2, len(c)):
-                    if self._value(c[j]) != _FALSE:
-                        c[1], c[j] = c[j], c[1]
-                        self.watches[c[1]].append(c)
-                        moved = True
+                    lit = c[j]
+                    if val[lit] != false:
+                        c[1] = lit
+                        c[j] = false_lit
+                        watches[lit].append(c)  # never this list: lit is not false
                         break
-                if moved:
-                    continue
-                keep.append(c)
-                if self._value(first) == _FALSE:
-                    keep.extend(ws[ci + 1 :])
-                    conflict = c
-                    break
-                self._enqueue(first, c)
-            self.watches[false_lit] = keep
-            if conflict is not None:
-                return conflict
-        return None
-
-    def _bump(self, var: int) -> None:
-        self.activity[var] += self.act_inc
-        if self.activity[var] > 1e100:
-            for v in range(self.nv):
-                self.activity[v] *= 1e-100
-            self.act_inc *= 1e-100
+                else:
+                    keep.append(c)
+                    if val[first] == false:
+                        keep.extend(ws)  # the clauses not yet visited
+                        conflict = c
+                        break
+                    var = first >> 1
+                    val[first] = true
+                    val[first ^ 1] = false
+                    phase[var] = false if first & 1 else true
+                    level[var] = cur_level
+                    reason[var] = c
+                    trail.append(first)
+            watches[false_lit] = keep
+        self.qhead = qhead
+        return conflict
 
     def _analyze(self, conflict: list[int]) -> tuple[list[int], int, int]:
+        trail, level, reason, activity = self.trail, self.level, self.reason, self.activity
+        inc = self.act_inc
         seen = bytearray(self.nv)
         learnt: list[int] = [0]
         counter = 0
         cur_level = len(self.trail_lim)
         c: list[int] | None = conflict
-        idx = len(self.trail) - 1
+        idx = len(trail) - 1
         p = -1
         while True:
             assert c is not None
             for q in c:
-                if p != -1 and q == p:
-                    continue
                 v = q >> 1
-                if not seen[v] and self.level[v] > 0:
+                if q != p and not seen[v] and level[v] > 0:
                     seen[v] = 1
-                    self._bump(v)
-                    if self.level[v] == cur_level:
+                    activity[v] += inc
+                    if activity[v] > 1e100:
+                        for u in range(self.nv):
+                            activity[u] *= 1e-100
+                        inc *= 1e-100
+                    if level[v] == cur_level:
                         counter += 1
                     else:
                         learnt.append(q)
-            while not seen[self.trail[idx] >> 1]:
+            while not seen[trail[idx] >> 1]:
                 idx -= 1
-            p = self.trail[idx]
+            p = trail[idx]
             v = p >> 1
             seen[v] = 0
             counter -= 1
             idx -= 1
             if counter == 0:
                 break
-            c = self.reason[v]
+            c = reason[v]
+        self.act_inc = inc
         learnt[0] = p ^ 1
         back = 0
         if len(learnt) > 1:
             # move the highest-level non-asserting literal to the watch slot
-            levels = [self.level[q >> 1] for q in learnt[1:]]
+            levels = [level[q >> 1] for q in learnt[1:]]
             jmax = levels.index(max(levels)) + 1
             learnt[1], learnt[jmax] = learnt[jmax], learnt[1]
-            back = self.level[learnt[1] >> 1]
-        lbd = len({self.level[q >> 1] for q in learnt})
+            back = level[learnt[1] >> 1]
+        lbd = len({level[q >> 1] for q in learnt})
         return learnt, back, lbd
 
     def _backtrack(self, target: int) -> None:
         if len(self.trail_lim) <= target:
             return
         limit = self.trail_lim[target]
-        for lit in reversed(self.trail[limit:]):
-            var = lit >> 1
-            self.assign[var] = _UNSET
-            self.reason[var] = None
+        val, reason = self.val, self.reason
+        for lit in self.trail[limit:]:
+            val[lit] = val[lit ^ 1] = _UNSET
+            reason[lit >> 1] = None
         del self.trail[limit:]
         del self.trail_lim[target:]
         self.qhead = min(self.qhead, len(self.trail))
@@ -219,10 +228,10 @@ class _Cdcl:
     def _decide(self) -> int:
         best = -1
         best_act = -1.0
-        for v in range(self.nv):
-            if self.assign[v] == _UNSET and self.activity[v] > best_act:
+        for v, (value, act) in enumerate(zip(self.val[::2], self.activity)):
+            if act > best_act and value == _UNSET:
                 best = v
-                best_act = self.activity[v]
+                best_act = act
         if best >= 0:
             return 2 * best + (0 if self.phase[best] == _TRUE else 1)
         return -1
@@ -273,9 +282,9 @@ class _Cdcl:
                 learnt, back, lbd = self._analyze(conflict)
                 self._backtrack(back)
                 if len(learnt) == 1:
-                    if self._value(learnt[0]) == _FALSE:
+                    if self.val[learnt[0]] == _FALSE:
                         return None
-                    if self._value(learnt[0]) == _UNSET:
+                    if self.val[learnt[0]] == _UNSET:
                         self._enqueue(learnt[0], None)
                 else:
                     self.learnts.append(learnt)
@@ -295,7 +304,6 @@ class _Cdcl:
                 continue
             lit = self._decide()
             if lit < 0:
-                model = tuple(self.assign[v] == _TRUE for v in range(self.nv))
-                return model
+                return tuple(value == _TRUE for value in self.val[::2])
             self.trail_lim.append(len(self.trail))
             self._enqueue(lit, None)

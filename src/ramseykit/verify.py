@@ -16,7 +16,6 @@ import numpy as np
 
 from . import __version__
 from .canon import are_isomorphic
-from .coloring import EdgeColoring
 from .constructions import figure_coloring, is_strongly_regular, schlafli, two_k3
 from .detect import coloring_is_valid, contains, is_good, list_copies
 from .enumeration import archive_filename, enumerate_good, extend_level

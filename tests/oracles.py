@@ -126,6 +126,30 @@ def brute_splittable_m(g: Graph, targets: list[Target]) -> bool:
     return False
 
 
+def brute_satisfiable(nvars: int, clauses) -> bool:
+    """Does some assignment satisfy every clause? Scans all 2^nvars of them
+    at once: bit v-1 of an assignment's index is variable v."""
+    assert nvars <= 20, "oracle limited to small variable counts"
+    states = np.arange(1 << nvars, dtype=np.uint32)
+    true = {v: (states >> (v - 1)) & 1 == 1 for v in range(1, nvars + 1)}
+    true.update({-v: ~row for v, row in true.items()})
+    alive = np.ones(states.shape, dtype=bool)
+    for clause in clauses:
+        hit = np.zeros(states.shape, dtype=bool)
+        for lit in clause:
+            hit |= true[lit]
+        alive &= hit
+    return bool(alive.any())
+
+
+def satisfies(model, clauses) -> bool:
+    """Does the assignment (model[v-1] is variable v) satisfy every clause?"""
+    for clause in clauses:
+        if not any(model[abs(lit) - 1] == (lit > 0) for lit in clause):
+            return False
+    return True
+
+
 def all_graphs(n: int):
     """Every labeled graph on n vertices (2^C(n,2) of them)."""
     pairs = list(combinations(range(n), 2))

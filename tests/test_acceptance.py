@@ -3,13 +3,12 @@ PASS/FAIL line. Everything asserts exact values; no tolerances apply
 anywhere in this suite."""
 
 import os
-import random
 
 import pytest
 
 from oracles import brute_splittable_2
 from ramseykit import targets
-from ramseykit.anneal import AnnealParams, anneal_search
+from ramseykit.anneal import anneal_search
 from ramseykit.coloring import EdgeColoring, delete_coloring_vertex
 from ramseykit.constructions import (
     clone_vertex,

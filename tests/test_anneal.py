@@ -13,7 +13,6 @@ from ramseykit.anneal import (
 from ramseykit.coloring import EdgeColoring, color_class, emit_coloring_matrix
 from ramseykit.constructions import figure_coloring
 from ramseykit.detect import coloring_is_valid
-from ramseykit.graphs import Graph
 
 K3 = targets.clique(3)
 K4 = targets.clique(4)

@@ -1,8 +1,6 @@
 import subprocess
 import sys
 
-import pytest
-
 from ramseykit.cli import main
 from ramseykit.coloring import parse_coloring_matrix
 from ramseykit.graph6 import emit_graph6
@@ -160,6 +158,8 @@ def test_arrow_witness_out(tmp_path):
     assert proc.returncode == 0 and proc.stdout.strip() == "SPLITTABLE"
     c = parse_coloring_matrix(wpath.read_text())
     assert c.n == 5 and c.m == 2
+    # the SAT engine is deterministic: its witness is pinned byte for byte
+    assert wpath.read_bytes() == b"0 1 1 2 2\n1 0 2 1 2\n1 2 0 2 1\n2 1 2 0 1\n2 2 1 1 0\n"
 
 
 def test_extend_c50_cli(tmp_path):

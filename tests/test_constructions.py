@@ -9,7 +9,6 @@ from ramseykit.canon import are_isomorphic
 from ramseykit.coloring import (
     EdgeColoring,
     delete_coloring_vertex,
-    emit_coloring_matrix,
 )
 from ramseykit.constructions import (
     check_triple_triangle_free_plus_pendant,

@@ -4,17 +4,17 @@ import pytest
 
 from oracles import all_graphs, naive_copies, random_graph
 from ramseykit import targets
-from ramseykit.coloring import EdgeColoring, parse_coloring_matrix
+from ramseykit.coloring import EdgeColoring, color_class
 from ramseykit.constructions import figure_coloring, two_k3
-from ramseykit.coloring import color_class
 from ramseykit.detect import (
     coloring_is_valid,
     contains,
+    count_copies,
     critical_sets,
     is_good,
     list_copies,
 )
-from ramseykit.graphs import Graph, add_vertex, complement
+from ramseykit.graphs import Graph, add_vertex
 
 K3 = targets.clique(3)
 K4 = targets.clique(4)
@@ -86,6 +86,19 @@ def test_copies_match_oracle_on_random_graphs():
             got = list_copies(g, t)
             assert got.edges == tuple(g.edges())
             assert edge_copies(got) == sorted(naive_copies(g, t)), (g.adj, t)
+
+
+def test_count_copies_equals_listed_copies():
+    rng = random.Random(29)
+    kinds = set()
+    for _ in range(40):
+        g = random_graph(rng, rng.randint(1, 10), rng.random())
+        for t in ALL_TARGETS:
+            count = count_copies(g, t)
+            assert count == len(list_copies(g, t).copies), (g.adj, t)
+            if count:
+                kinds.add(t.kind)
+    assert kinds == {t.kind for t in ALL_TARGETS}
 
 
 def test_critical_sets_are_the_minimal_completing_sets():

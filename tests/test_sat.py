@@ -1,8 +1,18 @@
+import hashlib
+import random
 from itertools import combinations
 
 import pytest
 
+from oracles import brute_satisfiable, satisfies
+from ramseykit import targets
+from ramseykit.graph6 import parse_graph6
+from ramseykit.graphs import Graph, complement
 from ramseykit.sat import BudgetExceededError, CnfFormula, sat_solve, write_dimacs
+from ramseykit.split import encode_split_cnf
+
+K3 = targets.clique(3)
+J4 = targets.clique_minus_edge(4)
 
 
 def pigeonhole(pigeons, holes):
@@ -12,6 +22,26 @@ def pigeonhole(pigeons, holes):
         for i1, i2 in combinations(range(pigeons), 2):
             clauses.append((-var(i1, j), -var(i2, j)))
     return CnfFormula(pigeons * holes, clauses)
+
+
+def random_3cnf(seed, nvars, ratio):
+    rng = random.Random(seed)
+    clauses = []
+    for _ in range(int(nvars * ratio)):
+        vs = rng.sample(range(1, nvars + 1), 3)
+        clauses.append(tuple(v if rng.random() < 0.5 else -v for v in vs))
+    return CnfFormula(nvars, clauses)
+
+
+def host_formula(text):
+    """(K3, J4)-split CNF of the complement of a graph6 host."""
+    return encode_split_cnf(complement(parse_graph6(text)), K3, J4)
+
+
+# Two order-16 (K3, J7)-good hosts: the first one's complement splits into
+# (K3, J4), the second one's does not.
+SPLIT_HOST = "Ohh[dHIQC`cQUPC[CPSGJ"
+UNSPLIT_HOST = "OF`GtKSoiRCbYGCPwS`Ob"
 
 
 def test_rejects_empty_clause():
@@ -100,3 +130,115 @@ def test_dimacs_records_edge_map():
     text = write_dimacs(f)
     assert "c edge 0 1 var 1" in text
     assert "c edge 0 2 var 2" in text
+
+
+# The solver is deterministic, so a model pins its whole search path: watch
+# order, literal swaps, clause order, restarts, clause-database reduction and
+# the decision tie-break. Digests are sha256 of bytes(model), with the
+# conflict budget each run needs exactly; the random 3-CNF runs long enough
+# to reduce the learnt clauses twice and to rescale the activities.
+PINNED_MODELS = [
+    pytest.param(
+        lambda: pigeonhole(6, 6),
+        0,
+        "5ced38dcb8c03613bb24575406739b8a8bdc4c51a786a6dd5acb929883255125",
+        id="pigeonhole(6,6)",
+    ),
+    pytest.param(
+        lambda: encode_split_cnf(Graph.complete(5), K3, K3),
+        None,
+        "700cec509e992fae2da30b6c0f5ab519e0238eedfea1578f7cd6afc06f432973",
+        id="K5-K3-K3",
+    ),
+    pytest.param(
+        lambda: host_formula(SPLIT_HOST),
+        174,
+        "180cff6b31551691bdeb30fa1037fe709ccce6f9fcd9be14a4b48bec76e6e4be",
+        id="host-K3-J4",
+    ),
+    pytest.param(
+        lambda: random_3cnf(21, 180, 4.18),
+        4549,
+        "78c3bd6118d4117eadec61c546007ae3d1e3e948c1426319ab094cbb3f40cc38",
+        id="random-3cnf",
+    ),
+]
+
+
+@pytest.mark.parametrize("build, budget, digest", PINNED_MODELS)
+def test_models_match_recorded_search_path(build, budget, digest):
+    f = build()
+    model = sat_solve(f, max_conflicts=budget)
+    assert model is not None and satisfies(model, f.clauses)
+    assert hashlib.sha256(bytes(model)).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "build, conflicts, verdict",
+    [
+        pytest.param(lambda: pigeonhole(6, 5), 144, False, id="pigeonhole(6,5)"),
+        pytest.param(lambda: pigeonhole(7, 6), 846, False, id="pigeonhole(7,6)"),
+        pytest.param(lambda: host_formula(SPLIT_HOST), 174, True, id="split-host"),
+        pytest.param(lambda: host_formula(UNSPLIT_HOST), 602, False, id="unsplit-host"),
+    ],
+)
+def test_budget_trips_at_the_recorded_conflict_count(build, conflicts, verdict):
+    f = build()
+    with pytest.raises(BudgetExceededError):
+        sat_solve(f, max_conflicts=conflicts - 1)
+    assert (sat_solve(f, max_conflicts=conflicts) is not None) == verdict
+
+
+def random_cnf(rng, family):
+    """A small random CNF of one family, as (variable count, clauses)."""
+    if family == "copy-like":
+        # a split CNF's shape: all-positive 3-clauses, then all-negative 5-clauses
+        n = rng.randint(5, 12)
+        p, q = rng.uniform(0.2, 1), rng.uniform(0.2, 1)
+        pos = [c for c in combinations(range(1, n + 1), 3) if rng.random() < p]
+        neg = [c for c in combinations(range(-n, 0), 5) if rng.random() < q]
+        return n, pos + neg
+    n = rng.randint(1, 12)
+    lit = lambda: rng.choice((1, -1)) * rng.randint(1, n)
+    clauses = [
+        tuple(lit() for _ in range(rng.randint(2, 4))) for _ in range(rng.randint(1, 5 * n))
+    ]
+    if family == "units":
+        clauses += [(lit(),) for _ in range(rng.randint(1, 3))]
+    elif family == "repeats":
+        clauses = [cl + cl[:1] for cl in clauses]
+    elif family == "tautologies":
+        v = rng.randint(1, n)
+        clauses = [cl + (v, -v) if i % 3 == 0 else cl for i, cl in enumerate(clauses)]
+    rng.shuffle(clauses)
+    return n, clauses
+
+
+@pytest.mark.parametrize("family", ["mixed", "units", "repeats", "tautologies", "copy-like"])
+def test_verdicts_match_brute_force(family):
+    rng = random.Random(f"sat-{family}")
+    verdicts = set()
+    for _ in range(150):
+        n, clauses = random_cnf(rng, family)
+        f = CnfFormula(n, clauses)
+        model = sat_solve(f)
+        assert (model is not None) == brute_satisfiable(n, clauses), clauses
+        if model is not None:
+            assert len(model) == n and all(isinstance(x, bool) for x in model)
+            assert satisfies(model, clauses), clauses
+        verdicts.add(model is not None)
+    assert verdicts == {True, False}
+
+
+def test_small_budgets_raise_or_answer_correctly():
+    rng = random.Random("sat-budget")
+    raised = 0
+    for _ in range(300):
+        n, clauses = random_cnf(rng, "mixed")
+        try:
+            model = sat_solve(CnfFormula(n, clauses), max_conflicts=0)
+        except BudgetExceededError:
+            raised += 1
+            continue
+        assert (model is not None) == brute_satisfiable(n, clauses), clauses
+    assert 0 < raised < 300

@@ -6,7 +6,7 @@ from oracles import brute_splittable_2, brute_splittable_m, naive_copies, random
 from ramseykit import targets
 from ramseykit.coloring import color_class
 from ramseykit.detect import coloring_is_valid, contains, list_copies
-from ramseykit.enumeration import enumerate_good, extend_level
+from ramseykit.enumeration import extend_level
 from ramseykit.graphs import Graph, complement
 from ramseykit.sat import sat_solve
 from ramseykit.split import (

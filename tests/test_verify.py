@@ -4,7 +4,7 @@ import pytest
 
 from oracles import brute_splittable_2, random_graph
 from ramseykit import targets, verify
-from ramseykit.enumeration import enumerate_good, extend_level
+from ramseykit.enumeration import enumerate_good
 from ramseykit.graphs import Graph
 
 

@@ -5,7 +5,7 @@ The Schläfli graph is built from the classical incidence pattern of the
 27 lines on a cubic surface (a double six a1..a6, b1..b6 plus the lines
 c_ij): a_i meets b_j for i != j, a_i and b_i meet c_jk when i is in
 {j, k}, and two c-lines meet when their index pairs are disjoint. The
-10-regular side of the construction is returned; its strong regularity is
+meeting relation is itself the 10-regular side; its strong regularity is
 enforced by tests rather than trusted from the transcription.
 """
 
@@ -18,7 +18,7 @@ from itertools import combinations
 from .coloring import EdgeColoring, color_class, parse_coloring_matrix
 from .detect import contains, list_copies
 from .graphs import Graph
-from .targets import clique, triangle_plus_pendant
+from .targets import clique, parse_target, triangle_plus_pendant
 
 FIG3 = "FIG3"
 FIG4 = "FIG4"
@@ -48,12 +48,7 @@ def schlafli() -> Graph:
         for i, j in combinations(range(27), 2)
         if meets(labels[i], labels[j])
     ]
-    g = Graph.from_edges(27, edges)
-    if all(g.degree(v) == 10 for v in range(27)):
-        return g
-    from .graphs import complement
-
-    return complement(g)
+    return Graph.from_edges(27, edges)
 
 
 def is_strongly_regular(g: Graph, k: int, lam: int, mu: int) -> bool:
@@ -200,6 +195,4 @@ def named_graph(token: str) -> Graph:
         return schlafli()
     if name == "2K3":
         return two_k3()
-    from .targets import parse_target
-
     return parse_target(token.strip()).pattern()

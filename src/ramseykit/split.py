@@ -8,6 +8,11 @@ the embedded SAT procedure, and a recursive edge colorer that extends a
 partial coloring one edge at a time. More than two colors always use the
 recursive engine. Both take copies as :mod:`detect` gives them: edge-index
 bitmasks over ``g.edges()``, whose bit i is SAT variable i + 1.
+
+The colorer keeps one edge mask per color and, per color, a mask of the
+edges that color may not take: those completing a copy of its target
+whose other edges all carry it already. Coloring an edge never frees such
+an edge, so these masks only grow down a branch and are never undone.
 """
 
 from __future__ import annotations
@@ -63,12 +68,15 @@ def _witness_from_model(g: Graph, model: Sequence[bool], f: CnfFormula) -> Split
 def recursive_split(g: Graph, targets: Sequence[Target]) -> SplitWitness | None:
     """Backtracking edge colorer; None exactly when ``g`` arrows the targets.
 
-    Copies of each target are precomputed with per-copy counters, so
-    coloring an edge only touches the copies through it. A copy that is one
-    edge short of completion forbids its color on that last edge (forward
-    checking); the search always colors the edge with the fewest surviving
-    colors next, ties by index, and breaks the color symmetry of repeated
-    targets by first use.
+    Forward checking with fail-first edge choice (Haralick & Elliott 1980)
+    on edge-index bitmasks: ``col[c]`` holds the edges of color c, and
+    ``forbid[c]`` marks each edge that would complete a copy of target c
+    whose other edges all have color c; only its open edges are read. A
+    colored edge keeps its color down a branch, so such a bit stays true
+    while its edge is open: forbid masks only grow, and each level hands
+    a new list down instead of undoing. The next edge is the one the most
+    colors forbid, ties by lowest index; colors go in order, and repeated
+    targets are broken by first use.
     """
     if not 1 <= len(targets) <= 4:
         raise ValueError("between 1 and 4 targets required")
@@ -76,97 +84,49 @@ def recursive_split(g: Graph, targets: Sequence[Target]) -> SplitWitness | None:
     m = len(targets)
     if not edges:
         return SplitWitness(g.n, m, ())
-    ecount = len(edges)
+    full = (1 << len(edges)) - 1
+    # through[c][i]: the copies of target c that use edge i
+    through: list[list[list[int]]] = [[[] for _ in edges] for _ in range(m)]
+    forbid = [0] * m
+    for c, t in enumerate(targets):
+        for cp in list_copies(g, t).copies:
+            if cp & (cp - 1) == 0:
+                forbid[c] |= cp  # a one-edge copy: color c never fits there
+            for i in iter_bits(cp):
+                through[c][i].append(cp)
+    first_use = [c > 0 and targets[c] == targets[c - 1] for c in range(m)]
+    col = [0] * m
 
-    copies = [[list(iter_bits(cp)) for cp in list_copies(g, t).copies] for t in targets]
-    sizes = [[len(cp) for cp in cs] for cs in copies]
-    same = [[0] * len(cs) for cs in copies]
-    dead = [[0] * len(cs) for cs in copies]
-    by_edge: list[list[list[int]]] = [
-        [[] for _ in range(ecount)] for _ in range(m)
-    ]
-    for c in range(m):
-        for ci, cp in enumerate(copies[c]):
-            for e in cp:
-                by_edge[c][e].append(ci)
-
-    assigned = [-1] * ecount
-    # forbid[e][c]: live copies of target c needing only edge e to complete
-    forbid = [[0] * m for _ in range(ecount)]
-    used = [0] * m  # edges currently carrying each color
-    same_target_as_prev = [
-        c > 0 and targets[c] == targets[c - 1] for c in range(m)
-    ]
-
-    def last_open_edge(c: int, ci: int) -> int:
-        for e in copies[c][ci]:
-            if assigned[e] < 0:
-                return e
-        raise AssertionError("no open edge in a nearly complete copy")
-
-    def place(e: int, color: int) -> bool:
-        assigned[e] = color
-        used[color] += 1
-        ok = True
-        for ci in by_edge[color][e]:
-            same[color][ci] += 1
-            if dead[color][ci] == 0:
-                filled = same[color][ci]
-                if filled == sizes[color][ci]:
-                    ok = False
-                elif filled == sizes[color][ci] - 1:
-                    forbid[last_open_edge(color, ci)][color] += 1
-        for c in range(m):
-            if c != color:
-                for ci in by_edge[c][e]:
-                    if dead[c][ci] == 0 and same[c][ci] == sizes[c][ci] - 1:
-                        forbid[e][c] -= 1  # this copy was watching e
-                    dead[c][ci] += 1
-        return ok
-
-    def unplace(e: int, color: int) -> None:
-        for c in range(m):
-            if c != color:
-                for ci in by_edge[c][e]:
-                    dead[c][ci] -= 1
-                    if dead[c][ci] == 0 and same[c][ci] == sizes[c][ci] - 1:
-                        forbid[e][c] += 1
-        for ci in by_edge[color][e]:
-            if dead[color][ci] == 0 and same[color][ci] == sizes[color][ci] - 1:
-                forbid[last_open_edge(color, ci)][color] -= 1
-            same[color][ci] -= 1
-        assigned[e] = -1
-        used[color] -= 1
-
-    def rec(colored: int) -> bool:
-        if colored == ecount:
+    def rec(done: int, forbid: list[int]) -> bool:
+        if done == full:
             return True
-        pick = -1
-        pick_domain = m + 1
-        for e in range(ecount):
-            if assigned[e] >= 0:
+        # tiers[j]: the open edges that j or more colors forbid; an edge in
+        # tiers[m] is picked first and fails the branch, as no color fits it
+        tiers = [full & ~done] + [0] * m
+        for f in forbid:
+            for j in range(m, 0, -1):
+                tiers[j] |= tiers[j - 1] & f
+        fewest = next(t for t in reversed(tiers) if t)
+        bit = fewest & -fewest
+        i = bit.bit_length() - 1
+        for c in range(m):
+            if forbid[c] & bit or (first_use[c] and not col[c - 1]):
                 continue
-            width = sum(1 for c in range(m) if forbid[e][c] == 0)
-            if width == 0:
-                return False
-            if width < pick_domain:
-                pick, pick_domain = e, width
-                if width == 1:
-                    break
-        for color in range(m):
-            if forbid[pick][color]:
-                continue
-            if same_target_as_prev[color] and used[color - 1] == 0:
-                continue  # identical targets: use colors in first-use order
-            if place(pick, color):
-                if rec(colored + 1):
-                    return True
-            unplace(pick, color)
+            col[c] |= bit
+            grown = forbid[c]
+            for cp in through[c][i]:
+                rest = cp & ~col[c]
+                if not rest & (rest - 1):  # one edge left outside color c
+                    grown |= rest
+            if rec(done | bit, forbid[:c] + [grown] + forbid[c + 1 :]):
+                return True
+            col[c] ^= bit
         return False
 
-    if not rec(0):
+    if not rec(0, forbid):
         return None
-    return SplitWitness(g.n, m, tuple(zip(edges, assigned)))
+    colors = [next(c for c in range(m) if col[c] >> i & 1) for i in range(len(edges))]
+    return SplitWitness(g.n, m, tuple(zip(edges, colors)))
 
 
 def is_splittable(
@@ -182,12 +142,9 @@ def is_splittable(
     """
     if engine not in ("auto", "sat", "recurse", "both"):
         raise ValueError(f"unknown engine {engine!r}")
-    if len(targets) != 2 or g.edge_count == 0:
-        if engine in ("sat", "both") and len(targets) != 2:
-            raise ValueError("the SAT engine handles exactly two targets")
-        w = recursive_split(g, targets)
-        return (w is not None), w
-    if engine == "recurse":
+    if engine in ("sat", "both") and len(targets) != 2:
+        raise ValueError("the SAT engine handles exactly two targets")
+    if engine == "recurse" or len(targets) != 2 or g.edge_count == 0:
         w = recursive_split(g, targets)
         return (w is not None), w
     f = encode_split_cnf(g, targets[0], targets[1])

@@ -1,4 +1,5 @@
-"""Source hygiene: no module imports a name it never uses."""
+"""Source hygiene: no module imports a name it never uses, and package
+modules import each other at module level, never inside a function."""
 
 import ast
 from pathlib import Path
@@ -6,9 +7,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted((ROOT / "src" / "ramseykit").glob("*.py")) + sorted(
-    (ROOT / "tests").glob("*.py")
-)
+PACKAGE = sorted((ROOT / "src" / "ramseykit").glob("*.py"))
+SOURCES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
 
 # (file, name) pairs imported on purpose without being used in the file.
 KEPT = {
@@ -56,3 +56,33 @@ def test_scan_flags_an_unused_import(tmp_path):
         "    return None\n"
     )
     assert unused_imports(mod) == ["mod.py:2: os"]
+
+
+def nested_relative_imports(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = {
+        (node.lineno, "." * node.level + (node.module or ""))
+        for func in ast.walk(tree)
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(func)
+        if isinstance(node, ast.ImportFrom) and node.level
+    }
+    return [f"{path.name}:{line}: {module}" for line, module in sorted(found)]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_relative_import_inside_a_function(path):
+    assert nested_relative_imports(path) == []
+
+
+def test_scan_flags_a_nested_relative_import(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text(
+        "from .graphs import Graph\n"
+        "def f():\n"
+        "    import multiprocessing\n"
+        "    def g():\n"
+        "        from . import sat\n"
+        "    from .targets import clique\n"
+    )
+    assert nested_relative_imports(mod) == ["mod.py:5: .", "mod.py:6: .targets"]

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -23,6 +24,7 @@ K4 = targets.clique(4)
 J4 = targets.clique_minus_edge(4)
 J7 = targets.clique_minus_edge(7)
 K3E = targets.triangle_plus_pendant()
+C4 = targets.cycle(4)
 
 
 def j7_graph():
@@ -109,6 +111,31 @@ def test_recursive_split_three_colors():
         assert not contains(witness.color_graph(i), K3)
 
 
+def test_recursive_split_search_path_is_pinned():
+    # sha256 of repr of every result: pins the colorer's edge order, color
+    # order and first-use rule, so witnesses stay the same byte for byte
+    pool: list[Graph] = []
+    for t1, t2 in [(K3, J7), (K3E, J4)]:
+        level = [Graph.empty(1)]
+        pool.extend(level)
+        for _ in range(5):
+            level = extend_level(level, t1, t2)
+            pool.extend(level)
+    pairs = [(K3, K3), (K3, J4), (K3E, J4), (J4, J4), (K3, K4), (K4, J4)]
+    cases = [(g, [t1, t2]) for g in pool if 0 < g.edge_count <= 15 for t1, t2 in pairs]
+    cases += [
+        (Graph.complete(10), [K3, K3, K3]),
+        (Graph.complete(13), [K3, K3, K3]),
+        (j7_graph(), [K3E, J4]),
+        (complement(Graph.cycle(5)), [K3, K3]),
+        (Graph.complete(8), [C4, C4, K3, K3]),
+    ]
+    results = [recursive_split(g, ts) for g, ts in cases]
+    assert len(results) == 485 and results[482] is None
+    digest = hashlib.sha256(repr(results).encode()).hexdigest()
+    assert digest == "f6f81b0b0fe04bc958c0375b37702f93334150888ab8dddec199a40c4d5fd52b"
+
+
 def test_recursive_split_rejects_bad_target_count():
     with pytest.raises(ValueError):
         recursive_split(Graph.complete(3), [])
@@ -133,14 +160,24 @@ def test_is_splittable_engines_agree_with_oracle():
 
 
 def test_is_splittable_multicolor_matches_oracle():
-    rng = random.Random(29)
-    for _ in range(8):
-        g = random_graph(rng, 4, 0.8)
-        if g.edge_count == 0 or g.edge_count > 6:
+    # three and four colors, both verdicts, and every witness checked
+    rng = random.Random(3)
+    menu = [targets.clique(2), K3, C4, K3E, J4]
+    seen = set()
+    for _ in range(120):
+        m = rng.choice((3, 4))
+        g = random_graph(rng, rng.randint(4, 6), 0.75)
+        if g.edge_count == 0 or g.edge_count > (8 if m == 3 else 7):
             continue
-        expect = brute_splittable_m(g, [K3, K3, K3])
-        got, _ = is_splittable(g, [K3, K3, K3])
-        assert got == expect
+        ts = [rng.choice(menu) for _ in range(m)]
+        got, witness = is_splittable(g, ts)
+        assert got == brute_splittable_m(g, ts), (g.adj, ts)
+        assert (witness is not None) == got
+        if witness is not None:
+            for i, t in enumerate(ts):
+                assert not contains(witness.color_graph(i), t)
+        seen.add((m, got))
+    assert seen == {(3, True), (3, False), (4, True), (4, False)}
 
 
 def test_engine_both_cross_checks():

@@ -6,7 +6,13 @@ position at a time; placing position k reveals the k bits joining it to
 earlier positions (one "column"), so the string grows column by column and
 branches that compare worse than the best known leaf are cut immediately.
 Leaves that tie with the best labeling yield automorphisms, which prune
-sibling branches through their orbits.
+sibling branches through their orbits. Twin swaps (two vertices with equal
+open or equal closed neighbourhoods) are automorphisms that the adjacency
+rows show directly, so they seed the generators before the search starts.
+Together with the automorphisms the leaves find, they generate the whole
+automorphism group. Pruning by known automorphisms only skips images of
+branches already searched, so the first smallest leaf, which gives the key
+and the labeling, is the same whichever automorphisms are known.
 """
 
 from __future__ import annotations
@@ -18,12 +24,41 @@ from .graphs import Graph, iter_bits, relabel_rows
 
 
 def _refine(adj: tuple[int, ...], cells: list[int], queue: list[int]) -> list[int]:
-    """Split cells by neighbor counts against queued splitter masks."""
+    """Split cells by neighbor counts against queued splitter masks.
+
+    The parts of a split cell go in ascending count, and all but the last
+    join the queue. The callers pass the whole vertex set as its own
+    splitter, or an equitable partition less one vertex v with {v} as the
+    splitter; either way, by the last part's turn every cell has one count
+    towards the split cell and towards each other part, hence towards the
+    last part too, which would split nothing. A one-vertex splitter cuts
+    each cell into its non-neighbours and neighbours, and the cell list is
+    copied only once a cell splits. Refinement stops once every cell is a
+    singleton.
+    """
+    size = sum(cells).bit_count()  # the cells are disjoint
     qi = 0
-    while qi < len(queue):
+    while qi < len(queue) and len(cells) < size:
         splitter = queue[qi]
         qi += 1
-        out: list[int] = []
+        if splitter & (splitter - 1) == 0:
+            row = adj[splitter.bit_length() - 1]
+            for i, cell in enumerate(cells):
+                if cell & row and cell & ~row:
+                    break
+            else:
+                continue
+            out = cells[:i]
+            for cell in cells[i:]:
+                inside = cell & row
+                if inside and inside != cell:
+                    out += (cell ^ inside, inside)
+                    queue.append(cell ^ inside)
+                else:
+                    out.append(cell)
+            cells = out
+            continue
+        out = []
         for cell in cells:
             if cell & (cell - 1) == 0:
                 out.append(cell)
@@ -39,12 +74,33 @@ def _refine(adj: tuple[int, ...], cells: list[int], queue: list[int]) -> list[in
             if len(groups) == 1:
                 out.append(cell)
             else:
-                for key in sorted(groups):
-                    sub = groups[key]
-                    out.append(sub)
-                    queue.append(sub)
+                parts = [groups[key] for key in sorted(groups)]
+                out += parts
+                queue += parts[:-1]
         cells = out
     return cells
+
+
+def _twin_swaps(adj: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Transpositions of each twin with the first vertex of its twin class.
+
+    False twins have equal open neighbourhoods, true twins equal closed
+    ones; swapping two twins fixes every row, so each swap is an
+    automorphism.
+    """
+    n = len(adj)
+    first_open: dict[int, int] = {}
+    first_closed: dict[int, int] = {}
+    swaps = []
+    for v, row in enumerate(adj):
+        u = first_open.setdefault(row, v)
+        if u == v:
+            u = first_closed.setdefault(row | 1 << v, v)
+        if u != v:
+            sigma = list(range(n))
+            sigma[u], sigma[v] = v, u
+            swaps.append(tuple(sigma))
+    return swaps
 
 
 class _Search:
@@ -53,9 +109,9 @@ class _Search:
         self.adj = adj
         self.placed: list[int] = []
         self.cols: list[int] = []
-        self.best_cols: list[int] | None = None
+        self.best_cols: list[int] = []
         self.best_perm: tuple[int, ...] | None = None
-        self.gens: list[tuple[int, ...]] = []
+        self.gens = _twin_swaps(adj)
         self.best_epoch = 0
 
     def run(self) -> None:
@@ -70,55 +126,63 @@ class _Search:
             col = (col << 1) | ((row >> u) & 1)
         return col
 
-    def _fixing_generators(self) -> list[tuple[int, ...]]:
-        placed = self.placed
-        return [g for g in self.gens if all(g[u] == u for u in placed)]
-
     def _rec(self, cells: list[int], tight: bool) -> None:
-        if not cells:
-            self._leaf(tight)
-            return
-        cell = cells[0]
-        singleton = cell & (cell - 1) == 0
-        if singleton:
-            members = [cell.bit_length() - 1]
+        """Search below a node whose unplaced vertices form ``cells``.
+
+        ``tight`` says the placed prefix equals the best leaf's. Leading
+        singleton cells have one child each and are placed in a loop; the
+        first larger cell branches on its members by ascending column.
+        """
+        placed, cols, best_cols = self.placed, self.cols, self.best_cols
+        depth = len(placed)
+        for k, cell in enumerate(cells):
+            if cell & (cell - 1):
+                self._branch(cell, cells[k + 1 :], tight)
+                break
+            v = cell.bit_length() - 1
+            col = self._column(v)
+            if tight:
+                ref = best_cols[len(placed)]
+                if col > ref:
+                    break
+                tight = col == ref
+            placed.append(v)
+            cols.append(col)
         else:
-            members = sorted(iter_bits(cell), key=lambda v: (self._column(v), v))
+            self._leaf(tight)
+        del placed[depth:], cols[depth:]
+
+    def _branch(self, cell: int, rest: list[int], tight: bool) -> None:
+        placed, cols, gens = self.placed, self.cols, self.gens
+        k = len(placed)
         explored: list[int] = []
-        for v in members:
-            if explored and v in orbit_closure(explored, self._fixing_generators()):
-                continue
-            child = self._enter(v, tight)
-            if child is None:
-                break  # columns ascend, so the remaining candidates are worse
+        fixing: list[tuple[int, ...]] = []  # the generators fixing the prefix
+        seen = 0
+        for col, v in sorted((self._column(v), v) for v in iter_bits(cell)):
+            if explored:
+                if seen < len(gens):
+                    fixing += [g for g in gens[seen:] if all(g[u] == u for u in placed)]
+                    seen = len(gens)
+                if fixing and v in orbit_closure(explored, fixing):
+                    continue
+            child = False
+            if tight:
+                ref = self.best_cols[k]
+                if col > ref:
+                    break  # columns ascend, so the remaining candidates are worse
+                child = col == ref
             epoch = self.best_epoch
-            self.placed.append(v)
-            self.cols.append(self._column_value)
-            if singleton:
-                self._rec(cells[1:], child)
-            else:
-                rest = cell ^ (1 << v)
-                self._rec(_refine(self.adj, [rest] + cells[1:], [1 << v]), child)
-            self.placed.pop()
-            self.cols.pop()
+            placed.append(v)
+            cols.append(col)
+            self._rec(_refine(self.adj, [cell ^ (1 << v)] + rest, [1 << v]), child)
+            placed.pop()
+            cols.pop()
             if self.best_epoch != epoch:
                 tight = True  # the new best extends this node's prefix
             explored.append(v)
 
-    def _enter(self, v: int, tight: bool) -> bool | None:
-        """Compare v's column against the best leaf; None means prune."""
-        col = self._column(v)
-        self._column_value = col
-        if self.best_cols is None or not tight:
-            return False
-        k = len(self.placed)
-        ref = self.best_cols[k]
-        if col > ref:
-            return None
-        return col == ref
-
     def _leaf(self, tight: bool) -> None:
-        if self.best_cols is not None and tight:
+        if tight:
             # equal strings: the position map is an automorphism
             perm = self.best_perm
             assert perm is not None
@@ -162,14 +226,15 @@ def canon_raw(n: int, adj: tuple[int, ...]):
     """Canonical key, labeling and automorphism generators for raw bitsets.
 
     Returns ``(key, order, gens)`` where ``order[i]`` is the original vertex
-    placed at canonical position i and ``gens`` are automorphisms expressed
-    over the original labels.
+    placed at canonical position i and ``gens``, over the original labels,
+    generate the automorphism group: the twin transpositions seeded before
+    the search, then the automorphisms its leaves found.
     """
     if n == 0:
         return bytes([0]), (), []
     search = _Search(n, adj)
     search.run()
-    assert search.best_cols is not None and search.best_perm is not None
+    assert search.best_perm is not None
     key = _pack_key(n, search.best_cols)
     return key, search.best_perm, search.gens
 

@@ -73,10 +73,12 @@ def recursive_split(g: Graph, targets: Sequence[Target]) -> SplitWitness | None:
     ``forbid[c]`` marks each edge that would complete a copy of target c
     whose other edges all have color c; only its open edges are read. A
     colored edge keeps its color down a branch, so such a bit stays true
-    while its edge is open: forbid masks only grow, and each level hands
-    a new list down instead of undoing. The next edge is the one the most
-    colors forbid, ties by lowest index; colors go in order, and repeated
-    targets are broken by first use.
+    while its edge is open: forbid masks only grow, and each level keeps
+    its own list instead of undoing. The levels live on an explicit stack,
+    one frame per colored edge, so no host is too large for Python's
+    recursion limit. The next edge is the one the most colors forbid, ties
+    by lowest index; colors go in order, and repeated targets are broken
+    by first use.
     """
     if not 1 <= len(targets) <= 4:
         raise ValueError("between 1 and 4 targets required")
@@ -97,9 +99,7 @@ def recursive_split(g: Graph, targets: Sequence[Target]) -> SplitWitness | None:
     first_use = [c > 0 and targets[c] == targets[c - 1] for c in range(m)]
     col = [0] * m
 
-    def rec(done: int, forbid: list[int]) -> bool:
-        if done == full:
-            return True
+    def pick(done: int, forbid: list[int]) -> int:
         # tiers[j]: the open edges that j or more colors forbid; an edge in
         # tiers[m] is picked first and fails the branch, as no color fits it
         tiers = [full & ~done] + [0] * m
@@ -107,23 +107,34 @@ def recursive_split(g: Graph, targets: Sequence[Target]) -> SplitWitness | None:
             for j in range(m, 0, -1):
                 tiers[j] |= tiers[j - 1] & f
         fewest = next(t for t in reversed(tiers) if t)
-        bit = fewest & -fewest
-        i = bit.bit_length() - 1
-        for c in range(m):
-            if forbid[c] & bit or (first_use[c] and not col[c - 1]):
-                continue
-            col[c] |= bit
-            grown = forbid[c]
-            for cp in through[c][i]:
-                rest = cp & ~col[c]
-                if not rest & (rest - 1):  # one edge left outside color c
-                    grown |= rest
-            if rec(done | bit, forbid[:c] + [grown] + forbid[c + 1 :]):
-                return True
-            col[c] ^= bit
-        return False
+        return fewest & -fewest
 
-    if not rec(0, forbid):
+    # one frame per colored edge: [done, forbid, picked edge bit, next color]
+    stack = [[0, forbid, pick(0, forbid), 0]]
+    while stack:
+        frame = stack[-1]
+        done, forbid, bit, c = frame
+        while c < m and (forbid[c] & bit or (first_use[c] and not col[c - 1])):
+            c += 1
+        if c == m:
+            stack.pop()
+            if stack:
+                parent = stack[-1]
+                col[parent[3] - 1] ^= parent[2]  # undo the parent's color
+            continue
+        frame[3] = c + 1
+        col[c] |= bit
+        done |= bit
+        if done == full:
+            break
+        grown = forbid[c]
+        for cp in through[c][bit.bit_length() - 1]:
+            rest = cp & ~col[c]
+            if not rest & (rest - 1):  # one edge left outside color c
+                grown |= rest
+        forbid = forbid[:c] + [grown] + forbid[c + 1 :]
+        stack.append([done, forbid, pick(done, forbid), 0])
+    else:
         return None
     colors = [next(c for c in range(m) if col[c] >> i & 1) for i in range(len(edges))]
     return SplitWitness(g.n, m, tuple(zip(edges, colors)))

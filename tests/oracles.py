@@ -75,15 +75,14 @@ def brute_isomorphic(g: Graph, h: Graph) -> bool:
     return False
 
 
-def brute_orbits(g: Graph) -> set[frozenset[int]]:
-    """Vertex orbits of the automorphism group, trying all n! permutations."""
-    image: list[set[int]] = [{v} for v in range(g.n)]
+def brute_automorphisms(g: Graph) -> set[tuple[int, ...]]:
+    """Every automorphism of g, trying all n! permutations."""
     edges = g.edges()
-    for perm in permutations(range(g.n)):
-        if all(g.has_edge(perm[u], perm[v]) for u, v in edges):
-            for v in range(g.n):
-                image[v].add(perm[v])
-    return {frozenset(orbit) for orbit in image}
+    return {
+        perm
+        for perm in permutations(range(g.n))
+        if all(g.has_edge(perm[u], perm[v]) for u, v in edges)
+    }
 
 
 def brute_splittable_2(g: Graph, t1: Target, t2: Target) -> bool:

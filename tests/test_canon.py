@@ -1,6 +1,7 @@
+import hashlib
 import random
 
-from oracles import all_graphs, brute_isomorphic, brute_orbits, random_graph
+from oracles import all_graphs, brute_automorphisms, brute_isomorphic, random_graph
 from ramseykit.canon import are_isomorphic, canon_raw, canonical_form, canonical_labeling
 from ramseykit.constructions import two_k3
 from ramseykit.graphs import Graph, relabel
@@ -109,11 +110,82 @@ def test_generators_reach_every_vertex_of_large_groups():
         assert generator_orbits(g.n, gens) == {frozenset(range(16))}
 
 
+def group_closure(n, gens):
+    """Every product of the permutations ``gens``, identity included."""
+    identity = tuple(range(n))
+    seen = {identity}
+    stack = [identity]
+    while stack:
+        p = stack.pop()
+        for g in gens:
+            q = tuple(g[p[v]] for v in range(n))
+            if q not in seen:
+                seen.add(q)
+                stack.append(q)
+    return seen
+
+
+def complete_multipartite(sizes):
+    part = [i for i, size in enumerate(sizes) for _ in range(size)]
+    n = len(part)
+    return Graph.from_edges(
+        n, [(u, v) for u in range(n) for v in range(u + 1, n) if part[u] != part[v]]
+    )
+
+
+def shuffled(rng, g):
+    order = list(range(g.n))
+    rng.shuffle(order)
+    return relabel(g, tuple(order))
+
+
+def with_twins(rng, g):
+    """``g`` with a random vertex given a false or a true twin."""
+    v = rng.randrange(g.n)
+    row = g.adj[v] | (1 << v if rng.random() < 0.5 else 0)
+    edges = g.edges() + [(u, g.n) for u in range(g.n) if row >> u & 1]
+    return Graph.from_edges(g.n + 1, edges)
+
+
 def test_generator_orbits_match_brute_force():
-    # canonical augmentation relies on the generators giving whole orbits
+    # canonical augmentation relies on the generators giving whole orbits;
+    # the closure must also be exactly the automorphism group
     rng = random.Random(2024)
+    graphs = []
     for _ in range(1000):
         n = rng.randint(1, 7)
-        g = random_graph(rng, n, rng.choice([0.1, 0.3, 0.5, 0.7, 0.9]))
+        graphs.append(random_graph(rng, n, rng.choice([0.1, 0.3, 0.5, 0.7, 0.9])))
+    for _ in range(150):
+        g = random_graph(rng, rng.randint(1, 4), rng.choice([0.3, 0.5, 0.7]))
+        while g.n < 7 and rng.random() < 0.8:
+            g = with_twins(rng, g)
+        graphs.append(shuffled(rng, g))
+    for sizes in [(1, 3), (2, 2), (3, 3), (1, 6), (2, 2, 2), (1, 2, 3), (1, 1, 2, 3)]:
+        graphs.append(shuffled(rng, complete_multipartite(sizes)))
+    for g in graphs:
         _, _, gens = canon_raw(g.n, g.adj)
-        assert generator_orbits(g.n, gens) == brute_orbits(g)
+        autos = brute_automorphisms(g)
+        assert generator_orbits(g.n, gens) == generator_orbits(g.n, autos)
+        assert group_closure(g.n, gens) == autos
+
+
+def test_labeling_search_path_is_pinned():
+    # sha256 of every (key, order): the keys and the labelings, hence the
+    # canonical rows and archives, stay the same byte for byte
+    rng = random.Random(8)
+    graphs = []
+    for n in range(1, 17):
+        graphs += [random_graph(rng, n, p) for p in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)]
+    for n in range(1, 14):
+        graphs += [Graph.empty(n), Graph.complete(n)]
+        graphs.append(Graph.from_edges(n, [(0, v) for v in range(1, n)]))
+        graphs += [complete_multipartite((a, n - a)) for a in range(1, n // 2 + 1)]
+    for sizes in [(2, 2, 2), (1, 2, 3, 4), (3, 3, 3), (2,) * 5, (1, 1, 3, 4), (2, 3, 5)]:
+        graphs.append(complete_multipartite(sizes))
+    graphs = [shuffled(rng, g) for g in graphs]
+    digest = hashlib.sha256()
+    for g in graphs:
+        key, order, _ = canon_raw(g.n, g.adj)
+        digest.update(key + bytes(order))
+    assert len(graphs) == 231
+    assert digest.hexdigest() == "2d4cdfae6bfff1d8932996a6e5568c206898653183787b4fb21a1646922d7213"

@@ -136,6 +136,17 @@ def test_recursive_split_search_path_is_pinned():
     assert digest == "f6f81b0b0fe04bc958c0375b37702f93334150888ab8dddec199a40c4d5fd52b"
 
 
+def test_recursive_split_handles_over_a_thousand_edges():
+    # one stack frame per colored edge: K_{32,32} has 1,024 edges, past
+    # what one Python call per edge allows
+    host = Graph.from_edges(64, [(a, b) for a in range(32) for b in range(32, 64)])
+    ok, witness = is_splittable(host, [K3, K3, K3])
+    assert ok and len(witness.colors) == 1024
+    # the complement, two disjoint K32, holds no K33
+    composed = compose_coloring(complement(host), witness)
+    assert coloring_is_valid(composed, [targets.clique(33), K3, K3, K3]).valid
+
+
 def test_recursive_split_rejects_bad_target_count():
     with pytest.raises(ValueError):
         recursive_split(Graph.complete(3), [])

@@ -3,11 +3,13 @@
 The state is a total edge coloring of K_n; its energy is the number of
 monochromatic copies of target i inside color class i, summed over
 colors, so a zero-energy state is a valid coloring. Moves recolor one
-random edge, scored incrementally by counting only the copies through
-that edge with the closed forms of :func:`detect.count_copies_with_edge`,
-and are accepted by the Metropolis rule under a geometric cooling
-schedule with deterministic per-restart seeds. This module knows no
-target kind: all per-kind search lives in :mod:`detect`.
+random edge in place, scored incrementally by counting only the copies
+through that edge with the closed forms of
+:func:`detect.count_copies_with_edge`, and are accepted by the Metropolis
+rule under a geometric cooling schedule with deterministic per-restart
+seeds. The initial energy sums the same closed forms over every edge
+(:func:`detect.count_copies`). This module knows no target kind: all
+per-kind search lives in :mod:`detect`.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from typing import Sequence
 from .coloring import EdgeColoring, color_class
 from .detect import coloring_is_valid, count_copies, count_copies_with_edge
 from .detect import list_copies  # noqa: F401  (perfbench's tracer wraps it here)
+from .graphs import Graph
 from .targets import Target
 
 
@@ -39,6 +42,10 @@ class AnnealParams:
             raise ValueError("cooling factor must lie strictly between 0 and 1")
         if self.min_temperature <= 0:
             raise ValueError("minimum temperature must be positive")
+        if self.sweeps_per_temperature < 1:
+            raise ValueError("sweeps per temperature must be at least 1")
+        if self.restarts < 1:
+            raise ValueError("restarts must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -78,54 +85,56 @@ def anneal_search(
     m = len(targets)
     if not 1 <= m <= 4:
         raise ValueError("between 1 and 4 targets required")
-    pairs = [(u, v) for v in range(n) for u in range(v)]
-    if not pairs:
+    pairs = [(u, v, 1 << u, 1 << v) for v in range(n) for u in range(v)]
+    npairs = len(pairs)
+    if not npairs:
         return AnnealResult(EdgeColoring(n, m, b""), 0, 0)
+    exp = math.exp
     best_overall: int | None = None
     for restart in range(params.restarts):
         rng = random.Random(_restart_seed(params.seed, restart))
-        colors = [rng.randrange(m) for _ in pairs]
+        randrange, rand = rng.randrange, rng.random
+        colors = [randrange(m) for _ in pairs]
         masks = [[0] * n for _ in range(m)]
-        for (u, v), c in zip(pairs, colors):
-            masks[c][u] |= 1 << v
-            masks[c][v] |= 1 << u
-        cur = energy(EdgeColoring(n, m, bytes(colors)), targets)
+        for (u, v, bu, bv), c in zip(pairs, colors):
+            masks[c][u] |= bv
+            masks[c][v] |= bu
+        cur = sum(count_copies(Graph(n, tuple(row)), t) for row, t in zip(masks, targets))
         if cur == 0:
             return _finish(n, m, colors, targets, restart)
+        if m == 1:  # no move changes a one-color state: every restart ends here
+            return AnnealResult(None, cur, params.restarts)
         temp = params.initial_temperature
         while temp >= params.min_temperature:
-            for _ in range(params.sweeps_per_temperature):
-                for _ in range(len(pairs)):
-                    ei = rng.randrange(len(pairs))
-                    u, v = pairs[ei]
-                    old = colors[ei]
-                    new = rng.randrange(m - 1) if m > 1 else 0
-                    if m == 1:
-                        continue
-                    if new >= old:
-                        new += 1
-                    delta = -count_copies_with_edge(masks[old], n, targets[old], u, v)
-                    _move(masks, old, new, u, v)
-                    delta += count_copies_with_edge(masks[new], n, targets[new], u, v)
-                    if delta <= 0 or rng.random() < math.exp(-delta / temp):
-                        colors[ei] = new
-                        cur += delta
-                        if cur == 0:
-                            return _finish(n, m, colors, targets, restart)
-                    else:
-                        _move(masks, new, old, u, v)
+            for _ in range(params.sweeps_per_temperature * npairs):
+                ei = randrange(npairs)
+                u, v, bu, bv = pairs[ei]
+                old = colors[ei]
+                new = randrange(m - 1)
+                if new >= old:
+                    new += 1
+                frm, to = masks[old], masks[new]
+                delta = -count_copies_with_edge(frm, n, targets[old], u, v)
+                frm[u] ^= bv
+                frm[v] ^= bu
+                to[u] |= bv
+                to[v] |= bu
+                delta += count_copies_with_edge(to, n, targets[new], u, v)
+                if delta <= 0 or rand() < exp(-delta / temp):
+                    colors[ei] = new
+                    cur += delta
+                    if cur == 0:
+                        return _finish(n, m, colors, targets, restart)
+                else:
+                    to[u] ^= bv
+                    to[v] ^= bu
+                    frm[u] |= bv
+                    frm[v] |= bu
             temp *= params.cooling
         if best_overall is None or cur < best_overall:
             best_overall = cur
-    assert best_overall is not None
+    assert best_overall is not None  # restarts >= 1
     return AnnealResult(None, best_overall, params.restarts)
-
-
-def _move(masks: list[list[int]], frm: int, to: int, u: int, v: int) -> None:
-    masks[frm][u] &= ~(1 << v)
-    masks[frm][v] &= ~(1 << u)
-    masks[to][u] |= 1 << v
-    masks[to][v] |= 1 << u
 
 
 def _finish(n, m, colors, targets, restart) -> AnnealResult:

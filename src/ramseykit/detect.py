@@ -2,13 +2,15 @@
 
 Containment is always in the subgraph sense (never induced). This is the
 only module that knows how each target kind is found. Per kind it holds one
-lazy copy generator, which backs :func:`list_copies`, :func:`count_copies`,
-:func:`contains` and the enumerator's screen :func:`critical_sets`, and one
-closed form for the number of copies through a present edge {u,v}, which
-annealing uses to score a move. Everything works on neighborhood bitmasks:
-a clique is grown by intersecting candidate masks, J_k is located as a
-vertex pair whose common neighborhood holds a (k-2)-clique, and so on for
-the other patterns in the family.
+lazy copy generator, which backs :func:`list_copies`, :func:`contains` and
+the enumerator's screen :func:`critical_sets`, and one closed form for the
+number of copies through a present edge {u,v}. Annealing scores a move with
+the closed form, and :func:`count_copies` sums it over the host's edges:
+each copy is counted once per edge of the target, so no copy is built.
+Everything works on neighborhood bitmasks: a clique is grown by
+intersecting candidate masks, J_k is located as a vertex pair whose common
+neighborhood holds a (k-2)-clique, and so on for the other patterns in the
+family.
 
 It also owns the edge numbering of copies: :func:`list_copies` gives each
 copy as an edge-index bitmask, bit i meaning ``g.edges()[i]``.
@@ -18,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
-from math import comb
 from typing import Iterator, Sequence
 
 from .coloring import EdgeColoring, color_class
@@ -74,18 +75,23 @@ def iter_cliques(adj: Sequence[int], cand: int, k: int) -> Iterator[int]:
             yield rest | low
 
 
-def _clique_commons(
-    adj: Sequence[int], cand: int, k: int, common: int
-) -> Iterator[int]:
-    """For each k-clique Q inside ``cand``, yield ``common`` ∩ N(Q)."""
+def _clique_commons(adj: Sequence[int], cand: int, k: int, common: int) -> list[int]:
+    """``common`` ∩ N(Q) for each k-clique Q inside ``cand``."""
     if k == 0:
-        yield common
-        return
+        return [common]
+    out = []
+    if k == 1:
+        while cand:
+            low = cand & -cand
+            out.append(common & adj[low.bit_length() - 1])
+            cand ^= low
+        return out
     while cand.bit_count() >= k:
         low = cand & -cand
         v = low.bit_length() - 1
         cand ^= low
-        yield from _clique_commons(adj, cand & adj[v], k - 1, common & adj[v])
+        out += _clique_commons(adj, cand & adj[v], k - 1, common & adj[v])
+    return out
 
 
 def _pair(a: int, b: int) -> Edge:
@@ -165,9 +171,19 @@ def contains(g: Graph, t: Target) -> bool:
 
 
 def count_copies(g: Graph, t: Target) -> int:
-    """Number of distinct copies of ``t`` in ``g``; ``len(list_copies(g, t))``
-    without building or sorting the copies."""
-    return sum(1 for _ in _COPIES[t.kind](g.adj, g.n, t.k))
+    """Number of distinct copies of ``t`` in ``g``; ``len(list_copies(g, t))``.
+
+    Each copy has |E(t)| edges, so the copies through the edges of ``g``,
+    summed by the closed forms of :func:`count_copies_with_edge`, count
+    every copy |E(t)| times; no copy is built.
+    """
+    through = _THROUGH_EDGE[t.kind]
+    adj, n, k = g.adj, g.n, t.k
+    total = 0
+    for v in range(n):
+        for u in iter_bits(adj[v] & ((1 << v) - 1)):
+            total += through(adj, n, k, u, v)
+    return total // t.pattern().edge_count
 
 
 def list_copies(g: Graph, t: Target) -> CopyList:
@@ -237,33 +253,41 @@ def _clique_through(masks: Sequence[int], n: int, k: int, u: int, v: int) -> int
 
 
 def _cme_through(masks: Sequence[int], n: int, k: int, u: int, v: int) -> int:
-    c = masks[u] & masks[v]
+    mu, mv = masks[u], masks[v]
+    c = mu & mv
     # u and v on the spine: the rest of the spine is a (k-4)-clique Q in C,
     # and the two tips are any pair adjacent to the whole spine
-    total = sum(comb(q.bit_count(), 2) for q in _clique_commons(masks, c, k - 4, c))
-    # spine vertex b, the other endpoint a tip: the rest of the spine is a
-    # (k-3)-clique Q in C, and the other tip is any neighbor of b and Q
-    # except that endpoint
-    for b in (u, v):
-        for q in _clique_commons(masks, c, k - 3, masks[b]):
-            total += q.bit_count() - 1
+    total = 0
+    for q in _clique_commons(masks, c, k - 4, c):
+        x = q.bit_count()
+        total += x * (x - 1) >> 1
+    # one endpoint on the spine, the other a tip: the rest of the spine is a
+    # (k-3)-clique Q in C, and the other tip is any common neighbor of Q and
+    # the spine endpoint except the tip endpoint
+    for q in _clique_commons(masks, c, k - 3, -1):
+        total += (q & mu).bit_count() + (q & mv).bit_count() - 2
     return total
 
 
 def _cmp3_through(masks: Sequence[int], n: int, k: int, u: int, v: int) -> int:
-    c = masks[u] & masks[v]
+    mu, mv = masks[u], masks[v]
+    c = mu & mv
     # u-v is the path-ends edge: a (k-3)-clique core R in C, and a centre
     # adjacent to all of R other than u and v
-    full = (1 << n) - 1
-    total = sum(q.bit_count() - 2 for q in _clique_commons(masks, c, k - 3, full))
-    # a path end or the centre at a, core vertex b: the rest of the core is
-    # a (k-4)-clique in C, and W holds the vertices adjacent to b and it
-    for a, b in ((u, v), (v, u)):
-        for w in _clique_commons(masks, c, k - 4, masks[b]):
-            # end a: the other end in W ∩ N(a), the centre anywhere else in W
-            total += (w & masks[a]).bit_count() * (w.bit_count() - 2)
-            # centre a: the two path ends are any edge of W - a
-            total += count_cliques(masks, w & ~(1 << a), 2)
+    total = 0
+    for q in _clique_commons(masks, c, k - 3, -1):
+        total += q.bit_count() - 2
+    # one endpoint a path end or the centre, the other a core vertex: the
+    # rest of the core is a (k-4)-clique Q in C, and W holds the vertices
+    # adjacent to Q and the core endpoint
+    bu, bv = 1 << u, 1 << v
+    for q in _clique_commons(masks, c, k - 4, -1):
+        wu, wv = q & mv, q & mu  # W when v, resp. u, is the core vertex
+        # u or v an end: the other end in W ∩ N(that end) = N(Q) ∩ C, the
+        # centre anywhere else in W
+        total += (q & c).bit_count() * (wu.bit_count() + wv.bit_count() - 4)
+        # u or v the centre: the two path ends are any edge of W less it
+        total += count_cliques(masks, wu & ~bu, 2) + count_cliques(masks, wv & ~bv, 2)
     # u and v in the core: the rest is a (k-5)-clique in C, the ends are an
     # edge of Z and the centre is any other vertex of Z
     if k >= 5:

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -6,6 +7,7 @@ from oracles import naive_copies
 from ramseykit import targets
 from ramseykit.anneal import (
     AnnealParams,
+    AnnealResult,
     anneal_search,
     count_copies_with_edge,
     energy,
@@ -24,6 +26,15 @@ def test_params_validation():
         AnnealParams(initial_temperature=0.0)
     with pytest.raises(ValueError):
         AnnealParams(cooling=1.0)
+
+
+@pytest.mark.parametrize("field", ["restarts", "sweeps_per_temperature"])
+def test_params_reject_no_restarts_or_sweeps(field):
+    with pytest.raises(ValueError):
+        AnnealParams(**{field: 0})
+    with pytest.raises(ValueError):
+        AnnealParams(**{field: -1})
+    assert getattr(AnnealParams(**{field: 1}), field) == 1
 
 
 def test_energy_of_figure4_is_zero():
@@ -139,3 +150,61 @@ def test_different_seeds_allowed_to_differ():
 def test_trivial_host_succeeds_immediately():
     result = anneal_search(1, [K3])
     assert result.success and result.best_energy == 0
+
+
+def test_one_color_search_makes_no_moves(monkeypatch):
+    class CountingRandom(random.Random):
+        draws = 0
+
+        def randrange(self, *args):
+            CountingRandom.draws += 1
+            return super().randrange(*args)
+
+    monkeypatch.setattr(random, "Random", CountingRandom)
+    result = anneal_search(20, [K3], AnnealParams(restarts=5))
+    assert result == AnnealResult(None, 1140, 5)  # C(20, 3) triangles
+    assert CountingRandom.draws == 190  # one restart's coloring, no move
+    result = anneal_search(2, [K3], AnnealParams(restarts=5))
+    assert result.success and result.restarts_used == 1
+
+
+# Seeded runs pinned by digest: per case, sha256 over the five seeds of
+# repr((best_energy, restarts_used, coloring bytes or b"")). Any change to
+# the RNG call sequence, the Metropolis arithmetic or a move count shows here.
+PIN_SEEDS = (0, 3, 11, 17, 29)
+PIN_CASES = [
+    (2, "K3", dict(restarts=2), "0fec00d817a8dde2"),
+    (5, "K3", dict(restarts=3), "ec7b07cb5c838dda"),
+    (6, "C4", dict(restarts=2), "e3fd241f6443317d"),
+    (5, "K3,K3", dict(restarts=4, cooling=0.9), "db3464a843bab34b"),
+    (6, "K3,K3", dict(restarts=3, cooling=0.9), "2ac4629fc6d8577d"),
+    (8, "K3,J4", dict(restarts=3, cooling=0.6), "b6814749e7b92d13"),
+    (9, "J4,J4", dict(restarts=4, cooling=0.8), "1d8150fd81d36f88"),
+    (10, "J4,J4", dict(restarts=2, cooling=0.9), "a882869cc1369fa5"),
+    (8, "K3e,J4", dict(restarts=3, cooling=0.6), "7d097acf0501f296"),
+    (10, "C6,C6", dict(restarts=3, cooling=0.6), "c2799594b5aa4ac3"),
+    (10, "C4,C4,C4", dict(restarts=4, cooling=0.8), "18bf293cfae79502"),
+    (11, "K3,C4,C4", dict(restarts=4, cooling=0.8), "234b11359961df4c"),
+    (12, "K3e,K3,C5", dict(restarts=3, cooling=0.6), "80a65c07d535618c"),
+    (14, "K3,K3,K3", dict(restarts=5, cooling=0.9), "d5be2db9dd38efdb"),
+    (16, "K3,J4,C4,K3e", dict(restarts=3, cooling=0.8), "179deb1c041e6373"),
+    (10, "K4,J5,K3,C6", dict(restarts=2, cooling=0.9), "d837a6022aad6ec1"),
+    (
+        24,
+        "K3,K3,K3,K3",
+        dict(restarts=3, cooling=0.5, initial_temperature=1.0, min_temperature=0.2),
+        "1ae2f2e3dbf74daa",
+    ),
+    (8, "K3,K3", dict(restarts=2, cooling=0.7, sweeps_per_temperature=3), "08b8d5e4a9850356"),
+]
+
+
+@pytest.mark.parametrize("n, tokens, kw, digest", PIN_CASES)
+def test_seeded_search_path_is_pinned(n, tokens, kw, digest):
+    tgts = targets.parse_target_list(tokens)
+    h = hashlib.sha256()
+    for seed in PIN_SEEDS:
+        r = anneal_search(n, tgts, AnnealParams(seed=seed, **kw))
+        colors = r.coloring.colors if r.coloring is not None else b""
+        h.update(repr((r.best_energy, r.restarts_used, colors)).encode())
+    assert h.hexdigest()[:16] == digest

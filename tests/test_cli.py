@@ -1,19 +1,31 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import pytest
+
+import ramseykit
 from ramseykit.cli import main
 from ramseykit.coloring import parse_coloring_matrix
 from ramseykit.graph6 import emit_graph6
 from ramseykit.graphs import Graph
 
 
+# the child imports the same ramseykit as the tests, installed or not
+SRC = str(Path(ramseykit.__file__).resolve().parent.parent)
+
+
 def run_cli(args, stdin=""):
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
     proc = subprocess.run(
         [sys.executable, "-m", "ramseykit.cli", *args],
         input=stdin,
         capture_output=True,
         text=True,
         timeout=600,
+        env=env,
     )
     return proc
 
@@ -114,6 +126,14 @@ def test_anneal_cli_reports_none():
     proc = run_cli(["anneal", "--n", "6", "--targets", "K3,K3"])
     assert proc.returncode == 0
     assert "NONE best-energy=" in proc.stdout
+
+
+@pytest.mark.parametrize("flag", ["--restarts", "--sweeps"])
+def test_anneal_cli_rejects_zero_restarts_or_sweeps(flag, capsys):
+    argv = ["anneal", "--n", "5", "--targets", "K3,K3", flag, "0"]
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: ")
 
 
 def test_clone_cli(tmp_path):

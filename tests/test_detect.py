@@ -10,6 +10,7 @@ from ramseykit.detect import (
     coloring_is_valid,
     contains,
     count_copies,
+    count_copies_with_edge,
     critical_sets,
     is_good,
     list_copies,
@@ -99,6 +100,16 @@ def test_count_copies_equals_listed_copies():
             if count:
                 kinds.add(t.kind)
     assert kinds == {t.kind for t in ALL_TARGETS}
+
+
+def test_edge_counts_sum_to_edges_times_copies():
+    # each copy is counted once through each of its |E(t)| edges
+    rng = random.Random(31)
+    for _ in range(12):
+        g = random_graph(rng, rng.randint(1, 10), rng.random())
+        for t in ALL_TARGETS:
+            through = sum(count_copies_with_edge(g.adj, g.n, t, u, v) for u, v in g.edges())
+            assert through == t.pattern().edge_count * len(naive_copies(g, t)), (g.adj, t)
 
 
 def test_critical_sets_are_the_minimal_completing_sets():

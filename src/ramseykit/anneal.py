@@ -87,8 +87,6 @@ def anneal_search(
         raise ValueError("between 1 and 4 targets required")
     pairs = [(u, v, 1 << u, 1 << v) for v in range(n) for u in range(v)]
     npairs = len(pairs)
-    if not npairs:
-        return AnnealResult(EdgeColoring(n, m, b""), 0, 0)
     exp = math.exp
     best_overall: int | None = None
     for restart in range(params.restarts):

@@ -1,8 +1,10 @@
 """Command-line interface wiring the library into reproducible batch runs.
 
 Exit codes: 0 success, 1 failed verification, 2 usage error, 3 resource
-budget exceeded. All randomized commands print their seed in the output
-header so identical invocations produce byte-identical output.
+budget exceeded. Commands return 0 or 1 and raise the rest; ``main`` alone
+maps those exceptions to exit codes. All randomized commands print their
+seed in the output header so identical invocations produce byte-identical
+output.
 """
 
 from __future__ import annotations
@@ -10,6 +12,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import contextmanager
+from functools import partial
+from itertools import chain, islice
 
 from . import __version__
 from .anneal import AnnealParams, anneal_search
@@ -18,7 +23,6 @@ from .coloring import emit_coloring_matrix, parse_coloring_matrix
 from .constructions import clone_vertex, extend_by_clone, named_graph
 from .enumeration import EnumerationLimitError, enumerate_good
 from .graph6 import emit_graph6, iter_graph6, parse_graph6
-from .graphs import Graph
 from .sat import BudgetExceededError, write_dimacs
 from .split import encode_split_cnf, is_splittable, witness_matrix
 from .targets import parse_target, parse_target_list
@@ -30,18 +34,14 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
 
-def _read_graph(path: str) -> Graph:
+@contextmanager
+def _input(path: str):
+    """The open input file, or stdin for ``-``."""
     if path == "-":
-        return parse_graph6(sys.stdin.readline())
-    with open(path, encoding="ascii") as fh:
-        return parse_graph6(fh.readline())
-
-
-def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, encoding="ascii") as fh:
-        return fh.read()
+        yield sys.stdin
+    else:
+        with open(path, encoding="ascii") as fh:
+            yield fh
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -65,58 +65,49 @@ def _cmd_enumerate(args) -> int:
             jobs=args.jobs,
         )
     except EnumerationLimitError as exc:
-        sys.stdout.write(exc.stats.as_tsv())
-        print(f"resource error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
+        sys.stdout.write(exc.stats.as_tsv())  # the finished levels stand
+        raise
     sys.stdout.write(stats.as_tsv())
     return EXIT_OK
 
 
-def _split_one(payload):
-    adj, tokens, engine, max_conflicts = payload
-    g = Graph(len(adj), adj)
-    targets = parse_target_list(tokens)
+def _split_one(g, targets, engine, max_conflicts):
     key = canon_raw(g.n, g.adj)[0]
     ok, _ = is_splittable(g, targets, engine=engine, max_conflicts=max_conflicts)
     return key.hex(), ok
 
 
 def _cmd_split(args) -> int:
-    stream = sys.stdin if args.input == "-" else open(args.input, encoding="ascii")
-    try:
-        graphs = list(iter_graph6(stream))
-    finally:
-        if stream is not sys.stdin:
-            stream.close()
-    payloads = [
-        (g.adj, args.targets, args.engine, args.max_conflicts) for g in graphs
-    ]
-    try:
-        if args.jobs > 1 and len(payloads) > 1:
+    with _input(args.input) as fh:
+        solve = partial(
+            _split_one,
+            targets=parse_target_list(args.targets),
+            engine=args.engine,
+            max_conflicts=args.max_conflicts,
+        )
+        hosts = iter_graph6(fh)
+        head = list(islice(hosts, 2))  # a pool pays off from two hosts on
+        hosts = chain(head, hosts)
+        if args.jobs > 1 and len(head) > 1:
             import multiprocessing as mp
 
             with mp.Pool(args.jobs) as pool:
-                results = list(pool.imap(_split_one, payloads))
+                pending = [pool.apply_async(solve, (g,)) for g in hosts]
+                results = [p.get() for p in pending]
         else:
-            results = [_split_one(p) for p in payloads]
-    except BudgetExceededError as exc:
-        print(f"resource error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
+            results = [solve(g) for g in hosts]
     for key_hex, ok in results:
         print(f"{key_hex} {'SPLITTABLE' if ok else 'UNSPLITTABLE'}")
     return EXIT_OK
 
 
 def _cmd_arrow(args) -> int:
-    g = _read_graph(args.graph)
+    with _input(args.graph) as fh:
+        g = parse_graph6(fh.readline())
     targets = parse_target_list(args.targets)
-    try:
-        ok, witness = is_splittable(
-            g, targets, engine=args.engine, max_conflicts=args.max_conflicts
-        )
-    except BudgetExceededError as exc:
-        print(f"resource error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
+    ok, witness = is_splittable(
+        g, targets, engine=args.engine, max_conflicts=args.max_conflicts
+    )
     print("SPLITTABLE" if ok else "ARROWS")
     if ok and args.witness_out and witness is not None:
         _write_text(args.witness_out, witness_matrix(witness))
@@ -124,7 +115,8 @@ def _cmd_arrow(args) -> int:
 
 
 def _cmd_cnf(args) -> int:
-    g = _read_graph(args.graph)
+    with _input(args.graph) as fh:
+        g = parse_graph6(fh.readline())
     formula = encode_split_cnf(g, parse_target(args.t1), parse_target(args.t2))
     _write_text(args.output, write_dimacs(formula))
     return EXIT_OK
@@ -150,31 +142,27 @@ def _cmd_anneal(args) -> int:
     return EXIT_OK
 
 
+def _verify_split_pipeline(args) -> verify_mod.Report:
+    if args.level is None:
+        raise ValueError("split-pipeline needs --level")
+    return verify_mod.verify_split_pipeline(
+        args.level, archive_dir=args.archive, max_conflicts=args.max_conflicts
+    )
+
+
+# name -> report, in the order ``verify --help`` lists them
+VERIFICATIONS = {
+    "lemma-hex": lambda args: verify_mod.verify_lemma_hex(),
+    "j7-arrow": lambda args: verify_mod.verify_j7_arrow(),
+    "split-pipeline": _verify_split_pipeline,
+    "figure3": lambda args: verify_mod.verify_figure(args.what),
+    "figure4": lambda args: verify_mod.verify_figure(args.what),
+    "schlafli": lambda args: verify_mod.verify_schlafli(max_conflicts=args.max_conflicts),
+}
+
+
 def _cmd_verify(args) -> int:
-    try:
-        if args.what == "lemma-hex":
-            report = verify_mod.verify_lemma_hex()
-        elif args.what == "j7-arrow":
-            report = verify_mod.verify_j7_arrow()
-        elif args.what in ("figure3", "figure4"):
-            report = verify_mod.verify_figure(args.what)
-        elif args.what == "schlafli":
-            report = verify_mod.verify_schlafli(max_conflicts=args.max_conflicts)
-        else:
-            if args.level is None:
-                print("split-pipeline needs --level", file=sys.stderr)
-                return EXIT_USAGE
-            report = verify_mod.verify_split_pipeline(
-                args.level,
-                archive_dir=args.archive,
-                max_conflicts=args.max_conflicts,
-            )
-    except BudgetExceededError as exc:
-        print(f"resource error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    report = VERIFICATIONS[args.what](args)
     print(report)
     return EXIT_OK if report.passed else EXIT_FAIL
 
@@ -186,14 +174,16 @@ def _cmd_named(args) -> int:
 
 
 def _cmd_clone(args) -> int:
-    c = parse_coloring_matrix(_read_text(args.coloring))
+    with _input(args.coloring) as fh:
+        c = parse_coloring_matrix(fh.read())
     out = clone_vertex(c, args.x, args.y, args.link_color - 1)
     _write_text(args.output, emit_coloring_matrix(out))
     return EXIT_OK
 
 
 def _cmd_extend_c50(args) -> int:
-    c = parse_coloring_matrix(_read_text(args.c50))
+    with _input(args.c50) as fh:
+        c = parse_coloring_matrix(fh.read())
     grown, report = extend_by_clone(c, args.x, args.y, args.link_color - 1)
     print(f"extended to {grown.n} vertices")
     for verts, isolated in report.last_color_triangles:
@@ -271,17 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_anneal)
 
     p = sub.add_parser("verify", help="run one of the built-in verifications")
-    p.add_argument(
-        "what",
-        choices=[
-            "lemma-hex",
-            "j7-arrow",
-            "split-pipeline",
-            "figure3",
-            "figure4",
-            "schlafli",
-        ],
-    )
+    p.add_argument("what", choices=VERIFICATIONS)
     p.add_argument("--level", type=int, help="order for split-pipeline")
     p.add_argument("--archive", help="directory holding enumeration archives")
     p.add_argument("--max-conflicts", type=int)
@@ -324,6 +304,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except (BudgetExceededError, EnumerationLimitError) as exc:
+        print(f"resource error: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

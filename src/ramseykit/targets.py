@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 from .graphs import Graph
 
@@ -19,51 +20,50 @@ CLIQUE_MINUS_P3 = "clique_minus_p3"
 CYCLE = "cycle"
 
 
+# kind -> (token head, token tail, smallest k, the non-edges that the
+# pattern removes from K_k; None for the cycle)
+_KINDS = {
+    CLIQUE: ("K", "", 2, ()),
+    CLIQUE_MINUS_EDGE: ("J", "", 4, ((0, 1),)),
+    CLIQUE_MINUS_P3: ("K", "mP3", 4, ((0, 1), (1, 2))),
+    CYCLE: ("C", "", 3, None),
+}
+_FORMS = {(head, tail): kind for kind, (head, tail, _, _) in _KINDS.items()}
+# (head, k, tail) of a token -> its short form: K3+e keeps its own token
+_SHORT = {("K", 4, "mP3"): ("K", 3, "e")}
+_LONG = {short: full for full, short in _SHORT.items()}
+
+
 @dataclass(frozen=True)
 class Target:
     kind: str
     k: int
 
     def __post_init__(self) -> None:
-        limits = {
-            CLIQUE: 2,
-            CLIQUE_MINUS_EDGE: 4,
-            CLIQUE_MINUS_P3: 4,
-            CYCLE: 3,
-        }
-        if self.kind not in limits:
+        if self.kind not in _KINDS:
             raise ValueError(f"unknown target kind {self.kind!r}")
-        if self.k < limits[self.kind]:
-            raise ValueError(f"{self.kind} needs k >= {limits[self.kind]}, got {self.k}")
+        low = _KINDS[self.kind][2]
+        if self.k < low:
+            raise ValueError(f"{self.kind} needs k >= {low}, got {self.k}")
 
     @property
     def order(self) -> int:
         """Number of vertices of the pattern."""
         return self.k
 
-    @property
+    @cached_property  # perfbench/tracing.py reads it on every traced annealing move
     def token(self) -> str:
-        if self.kind == CLIQUE:
-            return f"K{self.k}"
-        if self.kind == CLIQUE_MINUS_EDGE:
-            return f"J{self.k}"
-        if self.kind == CLIQUE_MINUS_P3:
-            return "K3e" if self.k == 4 else f"K{self.k}mP3"
-        return f"C{self.k}"
+        head, tail, _, _ = _KINDS[self.kind]
+        form = (head, self.k, tail)
+        return "%s%d%s" % _SHORT.get(form, form)
 
     def pattern(self) -> Graph:
         """The pattern as a concrete graph on ``order`` vertices."""
-        if self.kind == CLIQUE:
-            return Graph.complete(self.k)
-        if self.kind == CLIQUE_MINUS_EDGE:
-            full = Graph.complete(self.k)
-            edges = [e for e in full.edges() if e != (0, 1)]
-            return Graph.from_edges(self.k, edges)
-        if self.kind == CLIQUE_MINUS_P3:
-            full = Graph.complete(self.k)
-            edges = [e for e in full.edges() if e not in ((0, 1), (1, 2))]
-            return Graph.from_edges(self.k, edges)
-        return Graph.cycle(self.k)
+        missing = _KINDS[self.kind][3]
+        if missing is None:
+            return Graph.cycle(self.k)
+        edges = [e for e in Graph.complete(self.k).edges() if e not in missing]
+        return Graph.from_edges(self.k, edges)
 
     def __str__(self) -> str:
         return self.token
@@ -90,26 +90,19 @@ def cycle(k: int) -> Target:
     return Target(CYCLE, k)
 
 
-_TOKEN_RE = re.compile(r"^(?:K(\d+)e|K(\d+)mP3|K(\d+)|J(\d+)|C(\d+))$")
+_TOKEN_RE = re.compile(r"(\D+)(\d+)(.*)")
 
 
 def parse_target(token: str) -> Target:
     """Parse tokens like K3, J4, K3e, K5mP3, C6."""
-    m = _TOKEN_RE.match(token.strip())
-    if m is None:
-        raise ValueError(f"unrecognized target token {token!r}")
-    k3e, kmp3, kk, jk, ck = m.groups()
-    if k3e is not None:
-        if int(k3e) != 3:
-            raise ValueError(f"unrecognized target token {token!r}")
-        return triangle_plus_pendant()
-    if kmp3 is not None:
-        return clique_minus_p3(int(kmp3))
-    if kk is not None:
-        return clique(int(kk))
-    if jk is not None:
-        return clique_minus_edge(int(jk))
-    return cycle(int(ck))
+    m = _TOKEN_RE.fullmatch(token.strip())
+    if m is not None:
+        form = (m[1], int(m[2]), m[3])
+        head, k, tail = _LONG.get(form, form)
+        kind = _FORMS.get((head, tail))
+        if kind is not None:
+            return Target(kind, k)
+    raise ValueError(f"unrecognized target token {token!r}")
 
 
 def parse_target_list(text: str) -> list[Target]:

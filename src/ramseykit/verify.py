@@ -22,12 +22,7 @@ from .enumeration import archive_filename, enumerate_good, extend_level
 from .graph6 import iter_graph6
 from .graphs import Graph, complement
 from .split import compose_coloring, is_splittable
-from .targets import (
-    Target,
-    clique,
-    clique_minus_edge,
-    triangle_plus_pendant,
-)
+from .targets import Target, clique, clique_minus_edge, cycle, triangle_plus_pendant
 
 
 @dataclass
@@ -59,7 +54,7 @@ def verify_lemma_hex() -> Report:
     for _ in range(5):
         level = extend_level(level, k3e, j4)
     rep.add(f"(K3e,J4;6)-good classes examined: {len(level)}")
-    hexagon = Target("cycle", 6)
+    hexagon = cycle(6)
     with_c6 = 0
     equal_2k3 = 0
     twin = two_k3()
@@ -169,10 +164,7 @@ def verify_schlafli(max_conflicts: int | None = None) -> Report:
 
 
 def verify_split_pipeline(
-    order: int,
-    archive_dir: str | None = None,
-    graphs: list[Graph] | None = None,
-    max_conflicts: int | None = None,
+    order: int, archive_dir: str | None = None, max_conflicts: int | None = None
 ) -> Report:
     """Split every (J7,K3;order)-good graph and validate the compositions.
 
@@ -182,30 +174,27 @@ def verify_split_pipeline(
     """
     rep = Report("split-pipeline")
     k3, j4, j7 = clique(3), clique_minus_edge(4), clique_minus_edge(7)
-    if graphs is None:
-        if archive_dir is None:
-            raise ValueError("either an archive directory or graphs are required")
-        path = os.path.join(archive_dir, archive_filename(k3, j7, order))
-        if not os.path.exists(path):
-            raise FileNotFoundError(f"level archive not found: {path}")
-        with open(path, encoding="ascii") as fh:
-            graphs = list(iter_graph6(fh))
-    rep.add(f"(K3,J7;{order})-good graphs loaded: {len(graphs)}")
-    splittable = 0
-    bad_compositions = 0
-    for f in graphs:
-        if f.n != order:
-            raise ValueError(f"archive graph has order {f.n}, expected {order}")
-        g = complement(f)
-        ok, witness = is_splittable(g, [k3, j4], max_conflicts=max_conflicts)
-        if not ok:
-            continue
-        splittable += 1
-        assert witness is not None
-        c = compose_coloring(f, witness)
-        verdict = coloring_is_valid(c, [k3, k3, j4])
-        if not (verdict.valid and verdict.assignment == (0, 1, 2)):
-            bad_compositions += 1
+    if archive_dir is None:
+        raise ValueError("split-pipeline needs an archive directory")
+    path = os.path.join(archive_dir, archive_filename(k3, j7, order))
+    if not os.path.exists(path):
+        raise FileNotFoundError(f"level archive not found: {path}")
+    loaded = splittable = bad_compositions = 0
+    with open(path, encoding="ascii") as fh:
+        for f in iter_graph6(fh):
+            if f.n != order:
+                raise ValueError(f"archive graph has order {f.n}, expected {order}")
+            loaded += 1
+            g = complement(f)
+            ok, witness = is_splittable(g, [k3, j4], max_conflicts=max_conflicts)
+            if not ok:
+                continue
+            splittable += 1
+            assert witness is not None
+            verdict = coloring_is_valid(compose_coloring(f, witness), [k3, k3, j4])
+            if not (verdict.valid and verdict.assignment == (0, 1, 2)):
+                bad_compositions += 1
+    rep.add(f"(K3,J7;{order})-good graphs loaded: {loaded}")
     rep.add(f"splittable under (K3, J4): {splittable}")
     rep.require(bad_compositions == 0, "all compositions are (K3,K3,J4)-colorings")
     return rep

@@ -208,3 +208,10 @@ def test_seeded_search_path_is_pinned(n, tokens, kw, digest):
         colors = r.coloring.colors if r.coloring is not None else b""
         h.update(repr((r.best_energy, r.restarts_used, colors)).encode())
     assert h.hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+@pytest.mark.parametrize("colors", [1, 2, 3])
+def test_tiny_hosts_succeed_at_restart_zero(n, colors):
+    result = anneal_search(n, [K3] * colors, AnnealParams(seed=5))
+    assert (result.success, result.best_energy, result.restarts_used) == (True, 0, 1)

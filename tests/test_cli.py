@@ -225,3 +225,49 @@ def test_verify_split_pipeline_cli(tmp_path):
     )
     assert proc.returncode == 0
     assert "result: PASS" in proc.stdout
+
+
+BUDGET_ERROR = "resource error: conflict budget 1 exhausted\n"
+
+
+@pytest.mark.parametrize("command", ["arrow", "split", "verify"])
+def test_conflict_budget_exits_3_with_empty_stdout(command, tmp_path):
+    from ramseykit.targets import clique_minus_edge
+
+    path = tmp_path / "j7.g6"
+    path.write_text(emit_graph6(clique_minus_edge(7).pattern()) + "\n")
+    argv = {
+        "arrow": ["arrow", "--graph", str(path), "--targets", "K3e,J4"],
+        "split": ["split", "--input", str(path), "--targets", "K3e,J4", "--jobs", "1"],
+        "verify": ["verify", "schlafli"],
+    }[command]
+    proc = run_cli(argv + ["--max-conflicts", "1"])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", BUDGET_ERROR)
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [["--archive", "DIR"], ["--level", "5"], ["--level", "12", "--archive", "DIR"]],
+    ids=["no-level", "no-archive", "missing-archive"],
+)
+def test_verify_split_pipeline_usage_exits_2(extra, tmp_path, capsys):
+    argv = ["verify", "split-pipeline"] + [str(tmp_path) if a == "DIR" else a for a in extra]
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err
+
+
+def test_split_jobs_do_not_change_output():
+    from ramseykit.targets import clique_minus_edge
+
+    hosts = [Graph.complete(6), Graph.complete(5), Graph.cycle(7), Graph.complete(6)]
+    hosts += [clique_minus_edge(6).pattern(), Graph.complete(4)]
+    stdin = "".join(emit_graph6(g) + "\n" for g in hosts)
+    one = run_cli(["split", "--targets", "K3,K3", "--jobs", "1"], stdin=stdin)
+    two = run_cli(["split", "--targets", "K3,K3", "--jobs", "2"], stdin=stdin)
+    assert one.returncode == two.returncode == 0
+    assert one.stdout == two.stdout
+    verdicts = [line.split()[1] for line in one.stdout.splitlines()]
+    assert verdicts == ["UNSPLITTABLE", "SPLITTABLE", "SPLITTABLE", "UNSPLITTABLE"] + [
+        "SPLITTABLE"
+    ] * 2

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from oracles import brute_isomorphic
@@ -22,3 +24,34 @@ def test_k3e_is_k4_minus_p3():
 def test_k3e_pattern_is_triangle_with_pendant():
     pendant = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
     assert brute_isomorphic(targets.triangle_plus_pendant().pattern(), pendant)
+
+
+def _parse_record(token):
+    try:
+        t = targets.parse_target(token)
+    except ValueError as exc:
+        return f"{token!r} {type(exc).__name__}: {exc}"
+    return f"{token!r} {t.kind} {t.k} {t.token} {sorted(t.pattern().edges())}"
+
+
+def _token_set():
+    heads = ["K", "J", "C", "Q", "k", "KJ", ""]
+    ks = [str(k) for k in range(13)] + [f"{k:02d}" for k in range(10)] + ["", "x"]
+    tails = ["", "e", "mP3", "mp3"]
+    tokens = [h + k + t for h in heads for k in ks for t in tails]
+    tokens += [" K3 ", "K3\n", "K 3", "K3e3", "J4e", "C5mP3", "K4e", "K3,J4"]
+    return list(dict.fromkeys(tokens))
+
+
+def test_parse_outcomes_are_pinned():
+    tokens = _token_set()
+    assert len(tokens) == 705
+    records = [_parse_record(tok) for tok in tokens]
+    assert _parse_record("K03e") == (
+        "'K03e' clique_minus_p3 4 K3e [(0, 2), (0, 3), (1, 3), (2, 3)]"
+    )
+    assert _parse_record("K3mP3") == (
+        "'K3mP3' ValueError: clique_minus_p3 needs k >= 4, got 3"
+    )
+    digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
+    assert digest == "943cdb5c5e52b1ae4f7858b90453966b5cd7170695fff090d3ad60b4a7be5920"

@@ -16,7 +16,7 @@ from importlib import resources
 from itertools import combinations
 
 from .coloring import EdgeColoring, color_class, parse_coloring_matrix
-from .detect import contains, list_copies
+from .detect import coloring_is_valid, list_copies
 from .graphs import Graph
 from .targets import clique, parse_target, triangle_plus_pendant
 
@@ -63,6 +63,14 @@ def is_strongly_regular(g: Graph, k: int, lam: int, mu: int) -> bool:
     return True
 
 
+def _first_difference(c: EdgeColoring, x: int, y: int) -> int | None:
+    """The first vertex other than x and y that they see in different colors."""
+    for v in range(c.n):
+        if v != x and v != y and c.color_of(x, v) != c.color_of(y, v):
+            return v
+    return None
+
+
 def clone_vertex(c: EdgeColoring, x: int, y: int, link_color: int) -> EdgeColoring:
     """Add a vertex z wired like the twins x and y, linked to both in
     ``link_color``.
@@ -75,14 +83,12 @@ def clone_vertex(c: EdgeColoring, x: int, y: int, link_color: int) -> EdgeColori
         raise ValueError("x and y must be distinct existing vertices")
     if not 0 <= link_color < c.m:
         raise ValueError(f"link color {link_color} outside 0..{c.m - 1}")
-    for v in range(c.n):
-        if v in (x, y):
-            continue
-        if c.color_of(x, v) != c.color_of(y, v):
-            raise ValueError(
-                f"vertices {x} and {y} disagree at vertex {v}: "
-                f"{c.color_of(x, v)} vs {c.color_of(y, v)}"
-            )
+    v = _first_difference(c, x, y)
+    if v is not None:
+        raise ValueError(
+            f"vertices {x} and {y} disagree at vertex {v}: "
+            f"{c.color_of(x, v)} vs {c.color_of(y, v)}"
+        )
     z = c.n
 
     def fn(u: int, v: int) -> int:
@@ -110,13 +116,18 @@ class TriangleReport:
     last_color_triangles: tuple[tuple[tuple[int, int, int], bool], ...]
 
 
-def check_triple_triangle_free_plus_pendant(c: EdgeColoring) -> TriangleReport:
-    """Shared checker: colors 0..m-2 must avoid K3, the last color K3+e."""
+def verify_c51(c: EdgeColoring) -> TriangleReport:
+    """Validate a 4-coloring as a (K3,K3,K3,K3+e)-coloring, color i against
+    target i: colors 0-2 must avoid K3 and the last color K3+e. When
+    colors 0-2 pass, the report lists the last color's triangles."""
+    if c.m != 4:
+        raise ValueError(f"expected a 4-coloring, got m={c.m}")
     tri = clique(3)
-    for i in range(c.m - 1):
-        if contains(color_class(c, i), tri):
-            return TriangleReport(False, c.n, i, ())
-    last = color_class(c, c.m - 1)
+    verdict = coloring_is_valid(c, [tri, tri, tri, triangle_plus_pendant()])
+    bad = verdict.witness_color
+    if bad is not None and bad < 3:
+        return TriangleReport(False, c.n, bad, ())
+    last = color_class(c, 3)
     triangles = []
     found = list_copies(last, tri)
     for copy in found.copies:
@@ -125,29 +136,14 @@ def check_triple_triangle_free_plus_pendant(c: EdgeColoring) -> TriangleReport:
             last.adj[v] & ~sum(1 << w for w in verts) for v in verts
         )
         triangles.append((verts, not pend))
-    valid = not contains(last, triangle_plus_pendant())
-    return TriangleReport(
-        valid, c.n, None if valid else c.m - 1, tuple(triangles)
-    )
-
-
-def verify_c51(c: EdgeColoring) -> TriangleReport:
-    """Validate a 51-vertex 4-coloring whose colors 1-3 avoid K3 and whose
-    last color avoids K3+e, reporting the last color's triangles."""
-    if c.m != 4:
-        raise ValueError(f"expected a 4-coloring, got m={c.m}")
-    return check_triple_triangle_free_plus_pendant(c)
+    return TriangleReport(verdict.valid, c.n, bad, tuple(triangles))
 
 
 def find_clone_pair(c: EdgeColoring) -> tuple[int, int] | None:
     """First vertex pair whose color fans agree at every other vertex."""
     for x in range(c.n):
         for y in range(x + 1, c.n):
-            if all(
-                c.color_of(x, v) == c.color_of(y, v)
-                for v in range(c.n)
-                if v != x and v != y
-            ):
+            if _first_difference(c, x, y) is None:
                 return x, y
     return None
 

@@ -19,7 +19,6 @@ copy as an edge-index bitmask, bit i meaning ``g.edges()[i]``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 from typing import Iterator, Sequence
 
 from .coloring import EdgeColoring, color_class
@@ -183,7 +182,7 @@ def count_copies(g: Graph, t: Target) -> int:
     for v in range(n):
         for u in iter_bits(adj[v] & ((1 << v) - 1)):
             total += through(adj, n, k, u, v)
-    return total // t.pattern().edge_count
+    return total // t.edge_count
 
 
 def list_copies(g: Graph, t: Target) -> CopyList:
@@ -335,10 +334,10 @@ def is_good(g: Graph, t1: Target, t2: Target) -> bool:
 class ColoringVerdict:
     """Outcome of validating a coloring against a target list.
 
-    ``assignment[i]`` is the index of the target checked against color i;
-    the identity assignment is tried first, then permutations of targets
-    with equal multisets. On failure, the witness names the offending color
-    and one monochromatic copy under the identity assignment.
+    Validity means what the paper's (G1, ..., Gm)-coloring means: color i
+    holds no copy of target i. ``assignment`` is then the identity
+    ``(0, ..., m-1)``. On failure, the witness names the first color that
+    holds its target and one copy of it there.
     """
 
     valid: bool
@@ -353,18 +352,9 @@ class ColoringVerdict:
 def coloring_is_valid(c: EdgeColoring, targets: Sequence[Target]) -> ColoringVerdict:
     if len(targets) != c.m:
         raise ValueError(f"{len(targets)} targets for an {c.m}-coloring")
-    classes = [color_class(c, i) for i in range(c.m)]
-    orders = [contains(classes[i], targets[i]) for i in range(c.m)]
-    if not any(orders):
-        return ColoringVerdict(True, tuple(range(c.m)))
-    seen = {tuple(targets)}
-    for perm in sorted(permutations(range(c.m))):
-        arranged = tuple(targets[j] for j in perm)
-        if arranged in seen:
-            continue
-        seen.add(arranged)
-        if not any(contains(classes[i], arranged[i]) for i in range(c.m)):
-            return ColoringVerdict(True, perm)
-    bad = orders.index(True)
-    found = list_copies(classes[bad], targets[bad])
-    return ColoringVerdict(False, None, bad, found.copy_edges(found.copies[0]))
+    for i, t in enumerate(targets):
+        g = color_class(c, i)
+        if contains(g, t):
+            found = list_copies(g, t)
+            return ColoringVerdict(False, None, i, found.copy_edges(found.copies[0]))
+    return ColoringVerdict(True, tuple(range(c.m)))

@@ -252,12 +252,8 @@ def extend_level(level: Sequence[Graph], t1: Target, t2: Target) -> list[Graph]:
     lies in that subset: the whole level gives the whole next level, and
     disjoint chunks of it give disjoint parts of the next level.
     """
-    records = []
-    for g in level:
-        key, order, gens = canon_raw(g.n, g.adj)
-        records.append(
-            _ClassRec(relabel_canonical(g.n, g.adj, order), _translate_gens(order, gens))
-        )
+    # each parent in its own labels, with automorphism generators over them
+    records = [_ClassRec(g.adj, tuple(canon_raw(g.n, g.adj)[2])) for g in level]
     out = _extend_records(records, t1, t2)
     return [Graph(len(r.adj), r.adj) for _, r in sorted(out.items())]
 

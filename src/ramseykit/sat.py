@@ -89,7 +89,7 @@ class _Cdcl:
         self.watches: list[list[list[int]]] = [[] for _ in range(2 * nvars)]
         self.clauses: list[list[int]] = []
         self.learnts: list[list[int]] = []
-        self.lbd: dict[int, int] = {}
+        self.lbd: list[int] = []  # lbd[i] belongs to learnts[i]
         self.activity = [0.0] * nvars
         self.act_inc = 1.0
         self.unsat_root = False
@@ -237,27 +237,22 @@ class _Cdcl:
         return -1
 
     def _reduce_db(self) -> None:
+        learnts, lbd = self.learnts, self.lbd
         locked = {id(self.reason[lit >> 1]) for lit in self.trail if self.reason[lit >> 1]}
-        ranked = sorted(
-            range(len(self.learnts)),
-            key=lambda i: (self.lbd.get(id(self.learnts[i]), 9), len(self.learnts[i]), i),
-        )
-        keep_set = set(ranked[: len(ranked) // 2])
-        kept: list[list[int]] = []
-        dropped: list[list[int]] = []
-        for i, c in enumerate(self.learnts):
-            if i in keep_set or id(c) in locked or len(c) <= 2:
-                kept.append(c)
-            else:
-                dropped.append(c)
-        drop_ids = {id(c) for c in dropped}
-        if not drop_ids:
+        ranked = sorted(range(len(learnts)), key=lambda i: (lbd[i], len(learnts[i]), i))
+        best = set(ranked[: len(ranked) // 2])
+        dropped = [
+            i
+            for i, c in enumerate(learnts)
+            if i not in best and id(c) not in locked and len(c) > 2
+        ]
+        if not dropped:
             return
+        drop_ids = {id(learnts[i]) for i in dropped}
         for wl in range(2 * self.nv):
             self.watches[wl] = [c for c in self.watches[wl] if id(c) not in drop_ids]
-        for c in dropped:
-            self.lbd.pop(id(c), None)
-        self.learnts = kept
+        self.lbd = [x for c, x in zip(learnts, lbd) if id(c) not in drop_ids]
+        self.learnts = [c for c in learnts if id(c) not in drop_ids]
 
     def solve(self, max_conflicts: int | None) -> tuple[bool, ...] | None:
         if self.unsat_root:
@@ -288,7 +283,7 @@ class _Cdcl:
                         self._enqueue(learnt[0], None)
                 else:
                     self.learnts.append(learnt)
-                    self.lbd[id(learnt)] = lbd
+                    self.lbd.append(lbd)
                     self.watches[learnt[0]].append(learnt)
                     self.watches[learnt[1]].append(learnt)
                     self._enqueue(learnt[0], learnt)

@@ -57,6 +57,14 @@ class Target:
         form = (head, self.k, tail)
         return "%s%d%s" % _SHORT.get(form, form)
 
+    @property
+    def edge_count(self) -> int:
+        """Number of edges of the pattern."""
+        missing = _KINDS[self.kind][3]
+        if missing is None:
+            return self.k
+        return self.k * (self.k - 1) // 2 - len(missing)
+
     def pattern(self) -> Graph:
         """The pattern as a concrete graph on ``order`` vertices."""
         missing = _KINDS[self.kind][3]

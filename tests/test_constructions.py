@@ -11,7 +11,6 @@ from ramseykit.coloring import (
     delete_coloring_vertex,
 )
 from ramseykit.constructions import (
-    check_triple_triangle_free_plus_pendant,
     clone_vertex,
     figure_coloring,
     is_strongly_regular,
@@ -133,7 +132,7 @@ def test_verify_c51_flags_pendant_in_last_color():
         return (u + v) % 3
 
     c = EdgeColoring.from_function(n, 4, fn)
-    report = check_triple_triangle_free_plus_pendant(c)
+    report = verify_c51(c)
     assert not report.valid and report.bad_color == 3
 
 
@@ -145,7 +144,7 @@ def test_verify_c51_small_analog_agrees_with_detect():
     for _ in range(40):
         vals = bytes(rng.randrange(4) for _ in range(15))
         c = EdgeColoring(6, 4, vals)
-        report = check_triple_triangle_free_plus_pendant(c)
+        report = verify_c51(c)
         identity_ok = all(
             not contains(color_class(c, i), tgt[i]) for i in range(4)
         )
@@ -161,7 +160,7 @@ def test_verify_c51_reports_isolated_yellow_triangle():
         return (u + v) % 3
 
     c = EdgeColoring.from_function(6, 4, fn)
-    report = check_triple_triangle_free_plus_pendant(c)
+    report = verify_c51(c)
     assert report.valid
     assert report.last_color_triangles == (((0, 1, 2), True),)
 

@@ -173,11 +173,17 @@ def test_coloring_is_valid_figures():
     assert coloring_is_valid(fig4, [J4, J4, K4]).valid
 
 
-def test_coloring_is_valid_tries_permutations():
+def test_coloring_is_valid_checks_color_i_against_target_i():
+    # FIG3 fits (J4, K3, J4) only after swapping colors 0 and 1: not valid
     fig3 = figure_coloring("FIG3")
     verdict = coloring_is_valid(fig3, [J4, K3, J4])
-    assert verdict.valid
-    assert verdict.assignment is not None and verdict.assignment != (0, 1, 2)
+    assert not verdict.valid and verdict.assignment is None
+    assert verdict.witness_color == 1
+    edges = verdict.witness_edges
+    assert edges is not None and len(edges) == 3
+    assert len({v for e in edges for v in e}) == 3
+    for u, v in edges:
+        assert fig3.color_of(u, v) == 1
 
 
 def test_coloring_is_valid_reports_witness():

@@ -12,7 +12,7 @@ from ramseykit.enumeration import (
     enumerate_good,
     extend_level,
 )
-from ramseykit.graphs import Graph, delete_vertex
+from ramseykit.graphs import Graph, delete_vertex, relabel
 
 K3 = targets.clique(3)
 J4 = targets.clique_minus_edge(4)
@@ -101,6 +101,19 @@ def test_chunks_of_a_level_extend_to_disjoint_parts_of_the_next(pair, order):
         assert not part & seen
         seen |= part
     assert seen == set(whole)
+
+
+@pytest.mark.parametrize("pair, order", [("K3,J7", 7), ("K9,K9", 5)])
+def test_parents_extend_alike_in_any_labeling(pair, order):
+    # extend_level reads each parent in its own labels
+    t1, t2 = targets.parse_target_list(pair)
+    level = [Graph.empty(1)]
+    for _ in range(order - 1):
+        level = extend_level(level, t1, t2)
+    rng = random.Random(order)
+    shuffled = [relabel(g, tuple(rng.sample(range(g.n), g.n))) for g in level]
+    assert shuffled != level
+    assert extend_level(shuffled, t1, t2) == extend_level(level, t1, t2)
 
 
 def test_k3e_j4_levels_match_brute_force():

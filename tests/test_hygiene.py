@@ -1,5 +1,6 @@
-"""Source hygiene: no module imports a name it never uses, and package
-modules import each other at module level, never inside a function."""
+"""Source hygiene: no module imports a name it never uses, package modules
+import each other at module level, never inside a function, and every
+package function is named somewhere outside its own body."""
 
 import ast
 from pathlib import Path
@@ -9,6 +10,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "ramseykit").glob("*.py"))
 SOURCES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
+# where a package function may be named: perfbench wraps some by name
+USERS = SOURCES + sorted((ROOT / "perfbench").rglob("*.py"))
 
 # (file, name) pairs imported on purpose without being used in the file.
 KEPT = {
@@ -86,3 +89,70 @@ def test_scan_flags_a_nested_relative_import(tmp_path):
         "    from .targets import clique\n"
     )
     assert nested_relative_imports(mod) == ["mod.py:5: .", "mod.py:6: .targets"]
+
+
+def _names(node: ast.AST, inside: frozenset[str] = frozenset()):
+    """Identifiers named under ``node`` as a variable, an attribute, an
+    imported name or a whole string constant, except a function's own name
+    inside its body."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        inside |= {node.name}
+    if isinstance(node, ast.Name):
+        name = node.id
+    elif isinstance(node, ast.Attribute):
+        name = node.attr
+    elif isinstance(node, ast.alias):
+        name = node.name
+    elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        name = node.value
+    else:
+        name = None
+    if name is not None and name not in inside:
+        yield name
+    for child in ast.iter_child_nodes(node):
+        yield from _names(child, inside)
+
+
+def unnamed_functions(package: list[Path], users: list[Path]) -> list[str]:
+    named: set[str] = set()
+    for path in users:
+        named.update(_names(ast.parse(path.read_text(encoding="utf-8"))))
+    found = []
+    for path in package:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not (node.name.startswith("__") and node.name.endswith("__"))
+                and node.name not in named
+            ):
+                found.append(f"{path.name}:{node.lineno}: {node.name}")
+    return found
+
+
+def test_every_function_is_named_outside_its_body():
+    assert unnamed_functions(PACKAGE, USERS) == []
+
+
+def test_scan_flags_an_unnamed_function(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text(
+        "def used():\n"
+        "    return helper()\n"
+        "def helper():\n"
+        "    return 1\n"
+        "def unused(x):\n"
+        "    return unused(x - 1) if x else 0\n"
+        "class A:\n"
+        "    def __len__(self):\n"
+        "        return 0\n"
+        "    def method(self):\n"
+        "        return 'wrapped'\n"
+        "    def wrapped(self):\n"
+        "        return None\n"
+    )
+    caller = tmp_path / "caller.py"
+    caller.write_text("from mod import used\nused()\n")
+    assert unnamed_functions([mod], [mod, caller]) == [
+        "mod.py:5: unused",
+        "mod.py:10: method",
+    ]

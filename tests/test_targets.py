@@ -26,6 +26,13 @@ def test_k3e_pattern_is_triangle_with_pendant():
     assert brute_isomorphic(targets.triangle_plus_pendant().pattern(), pendant)
 
 
+def test_edge_count_matches_the_pattern():
+    for kind, (_, _, low, _) in targets._KINDS.items():
+        for k in range(low, 9):
+            t = targets.Target(kind, k)
+            assert t.edge_count == t.pattern().edge_count, t
+
+
 def _parse_record(token):
     try:
         t = targets.parse_target(token)

@@ -59,16 +59,23 @@ def write_dimacs(f: CnfFormula) -> str:
 
 
 def sat_solve(
-    f: CnfFormula, max_conflicts: int | None = None
+    f: CnfFormula, max_conflicts: int | None = None, proof: list[str] | None = None
 ) -> tuple[bool, ...] | None:
     """A satisfying assignment (tuple indexed by var-1) or None for UNSAT.
 
     Raises :class:`BudgetExceededError` when ``max_conflicts`` runs out,
     which is a resource outcome distinct from UNSAT.
+
+    When ``proof`` is a list, the run appends a DRUP log to it (Wetzler,
+    Heule & Hunt 2014), one DIMACS line per step: each learnt clause as it
+    is added, units included, ``d``-prefixed the learnt clauses it forgets,
+    and the empty clause ``0`` once it answers UNSAT.
     """
-    solver = _Cdcl(f.var_count, f.clauses)
+    solver = _Cdcl(f.var_count, f.clauses, proof)
     model = solver.solve(max_conflicts)
     if model is None:
+        if proof is not None:
+            proof.append("0")
         return None
     for cl in f.clauses:
         if not any(model[abs(lit) - 1] == (lit > 0) for lit in cl):
@@ -76,9 +83,15 @@ def sat_solve(
     return model
 
 
+def _dimacs_line(lits: list[int]) -> str:
+    """A solver clause as a DIMACS clause line: literal 2v is v + 1, 2v + 1 is -(v + 1)."""
+    return " ".join(str(-(q >> 1) - 1 if q & 1 else (q >> 1) + 1) for q in lits) + " 0"
+
+
 class _Cdcl:
-    def __init__(self, nvars: int, clauses: list[tuple[int, ...]]):
+    def __init__(self, nvars: int, clauses: list[tuple[int, ...]], proof: list[str] | None):
         self.nv = nvars
+        self.proof = proof
         self.val = bytearray(2 * nvars)  # per literal; val[2 * v] is variable v's value
         self.phase = bytearray(nvars)  # preferred value on decide; 0 means False
         self.level = [0] * nvars
@@ -248,6 +261,8 @@ class _Cdcl:
         ]
         if not dropped:
             return
+        if self.proof is not None:
+            self.proof.extend("d " + _dimacs_line(learnts[i]) for i in dropped)
         drop_ids = {id(learnts[i]) for i in dropped}
         for wl in range(2 * self.nv):
             self.watches[wl] = [c for c in self.watches[wl] if id(c) not in drop_ids]
@@ -263,6 +278,7 @@ class _Cdcl:
         restart_limit = 128
         since_restart = 0
         max_learnts = max(2000, 2 * len(self.clauses))
+        proof = self.proof
         while True:
             conflict = self._propagate()
             if conflict is not None:
@@ -276,6 +292,8 @@ class _Cdcl:
                     return None
                 learnt, back, lbd = self._analyze(conflict)
                 self._backtrack(back)
+                if proof is not None:
+                    proof.append(_dimacs_line(learnt))
                 if len(learnt) == 1:
                     if self.val[learnt[0]] == _FALSE:
                         return None

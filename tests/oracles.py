@@ -7,7 +7,7 @@ routines it checks.
 
 from __future__ import annotations
 
-from itertools import combinations, permutations, product
+from itertools import combinations, count, permutations, product
 
 import numpy as np
 
@@ -126,8 +126,13 @@ def brute_splittable_m(g: Graph, targets: list[Target]) -> bool:
 
 
 def brute_satisfiable(nvars: int, clauses) -> bool:
-    """Does some assignment satisfy every clause? Scans all 2^nvars of them
-    at once: bit v-1 of an assignment's index is variable v."""
+    """Does some assignment satisfy every clause?"""
+    return brute_models(nvars, clauses).size > 0
+
+
+def brute_models(nvars: int, clauses) -> np.ndarray:
+    """Every assignment that satisfies all clauses, scanning all 2^nvars of
+    them at once: bit v-1 of an assignment's index is variable v."""
     assert nvars <= 20, "oracle limited to small variable counts"
     states = np.arange(1 << nvars, dtype=np.uint32)
     true = {v: (states >> (v - 1)) & 1 == 1 for v in range(1, nvars + 1)}
@@ -138,7 +143,7 @@ def brute_satisfiable(nvars: int, clauses) -> bool:
         for lit in clause:
             hit |= true[lit]
         alive &= hit
-    return bool(alive.any())
+    return states[alive]
 
 
 def satisfies(model, clauses) -> bool:
@@ -168,3 +173,128 @@ def random_graph(rng, n: int, p: float = 0.5) -> Graph:
             if rng.random() < p
         ],
     )
+
+
+def permutes_clauses(clauses, perms) -> bool:
+    """Does each variable permutation map the clause set onto itself?
+
+    ``perm[v-1] + 1`` is the image of variable v; a literal keeps its sign.
+    Clauses compare as sets of literals: per clause length, the sorted
+    literal rows of the images must be the rows of the clauses.
+    """
+    rows: dict[int, list[list[int]]] = {}
+    for clause in {frozenset(clause) for clause in clauses}:
+        rows.setdefault(len(clause), []).append(sorted(clause))
+    tables = {k: np.unique(np.array(r), axis=0) for k, r in rows.items()}
+    for perm in perms:
+        n = len(perm)
+        if sorted(perm) != list(range(n)):
+            return False
+        image_of = np.array([0] + [v + 1 for v in perm])
+        for table in tables.values():
+            if np.abs(table).max() > n:
+                return False
+            image = np.sign(table) * image_of[np.abs(table)]
+            image.sort(axis=1)
+            if not np.array_equal(np.unique(image, axis=0), table):
+                return False
+    return True
+
+
+def drup_refutes(nvars: int, clauses, proof) -> bool:
+    """Forward check of a DRUP proof: does ``proof`` refute the clauses?
+
+    ``proof`` holds DIMACS lines: a lemma ``l1 l2 ... 0`` or a deletion
+    ``d l1 l2 ... 0``. Each lemma must follow from the clauses present at
+    that point by reverse unit propagation: setting all its literals false
+    and propagating the units must end in a conflict. A deletion removes
+    one copy of a present clause and must name one. The proof refutes the
+    clauses once it reaches the empty lemma. Clauses are sets of literals;
+    propagation watches two literals of each longer clause, from scratch
+    for every lemma.
+    """
+    db: dict[int, list[int]] = {}  # clause id -> literals, watched in slots 0 and 1
+    ids: dict[frozenset, list[int]] = {}
+    units: set[int] = set()
+    watches: dict[int, list[int]] = {}
+    fresh = count()
+
+    def add(lits: frozenset) -> None:
+        if any(-lit in lits for lit in lits):
+            return  # a tautology never propagates
+        cid = next(fresh)
+        db[cid] = list(lits)
+        ids.setdefault(lits, []).append(cid)
+        if len(lits) == 1:
+            units.add(cid)
+        else:
+            for lit in db[cid][:2]:
+                watches.setdefault(lit, []).append(cid)
+
+    def conflicts(assumed) -> bool:
+        true: set[int] = set()
+        queue: list[int] = []
+        for lit in list(assumed) + [db[cid][0] for cid in units]:
+            if -lit in true:
+                return True
+            if lit not in true:
+                true.add(lit)
+                queue.append(lit)
+        for lit in queue:
+            false = -lit
+            kept: list[int] = []
+            hit = False
+            for cid in watches.get(false, []):
+                c = db.get(cid)
+                if c is None:
+                    continue  # deleted
+                if hit:
+                    kept.append(cid)
+                    continue
+                if c[0] == false:
+                    c[0], c[1] = c[1], c[0]
+                other = c[0]
+                if other in true:
+                    kept.append(cid)
+                    continue
+                for j in range(2, len(c)):
+                    if -c[j] not in true:
+                        c[1], c[j] = c[j], false
+                        watches.setdefault(c[1], []).append(cid)
+                        break
+                else:
+                    kept.append(cid)
+                    if -other in true:
+                        hit = True
+                    else:
+                        true.add(other)
+                        queue.append(other)
+            watches[false] = kept
+            if hit:
+                return True
+        return False
+
+    for clause in clauses:
+        add(frozenset(clause))
+    for line in proof:
+        fields = line.split()
+        delete = fields[:1] == ["d"]
+        lits = [int(x) for x in fields[delete:]]
+        if not lits or lits[-1] != 0 or 0 in lits[:-1]:
+            return False
+        lemma = frozenset(lits[:-1])
+        if any(abs(lit) > nvars for lit in lemma):
+            return False
+        if delete:
+            if not ids.get(lemma):
+                return False
+            cid = ids[lemma].pop()
+            del db[cid]
+            units.discard(cid)
+            continue
+        if not conflicts(-lit for lit in lemma):
+            return False
+        if not lemma:
+            return True
+        add(lemma)
+    return False

@@ -3,12 +3,15 @@ PASS/FAIL line. Everything asserts exact values; no tolerances apply
 anywhere in this suite."""
 
 import os
+from itertools import combinations
+from pathlib import Path
 
 import pytest
 
 from oracles import brute_splittable_2
 from ramseykit import targets
 from ramseykit.anneal import anneal_search
+from ramseykit.canon import canonical_form
 from ramseykit.coloring import EdgeColoring, delete_coloring_vertex
 from ramseykit.constructions import (
     clone_vertex,
@@ -17,8 +20,11 @@ from ramseykit.constructions import (
 )
 from ramseykit.detect import coloring_is_valid, contains, is_good, list_copies
 from ramseykit.enumeration import enumerate_good, extend_level
+from ramseykit import split
+from ramseykit.graph6 import parse_graph6
 from ramseykit.graphs import Graph, complement
-from ramseykit.split import compose_coloring, is_splittable
+from ramseykit.sat import sat_solve
+from ramseykit.split import compose_coloring, encode_split_cnf, is_splittable
 from ramseykit.verify import (
     verify_figure,
     verify_j7_arrow,
@@ -33,6 +39,8 @@ J7 = targets.clique_minus_edge(7)
 K3E = targets.triangle_plus_pendant()
 
 JOBS = min(4, os.cpu_count() or 1)
+# order-16 (K3, J7)-good hosts with recorded (K3, J4) split verdicts
+HOSTS16 = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "hosts16.tsv"
 
 TABLE_ROWS_1_TO_11 = [
     (1, 1, "0"),
@@ -103,7 +111,8 @@ def test_criterion_5_schlafli_suite():
               "complement unsplittable for K3|J4", ok)
 
 
-def test_criterion_6_engine_cross_agreement():
+def criterion_6_instances():
+    """(host, t1, t2) for the good graphs up to order 6 with 1 to 15 edges."""
     pool: list[Graph] = []
     for t1, t2 in [(K3, J7), (K3E, J4)]:
         level = [Graph.empty(1)]
@@ -112,19 +121,46 @@ def test_criterion_6_engine_cross_agreement():
             level = extend_level(level, t1, t2)
             pool.extend(level)
     pairs = [(K3, K3), (K3, J4), (K3E, J4), (J4, J4), (K3, K4), (K4, J4)]
+    return [(g, t1, t2) for g in pool if 0 < g.edge_count <= 15 for t1, t2 in pairs]
+
+
+def test_criterion_5_complement_refutation_is_proof_checked(checked_split):
+    ok, broken = checked_split(complement(schlafli()), K3, J4)
+    assert not ok and broken > 0
+
+
+def test_criterion_6_engine_cross_agreement():
     checked = 0
     agreed = True
-    for g in pool:
-        if g.edge_count == 0 or g.edge_count > 15:
-            continue
-        for t1, t2 in pairs:
-            expect = brute_splittable_2(g, t1, t2)
-            got_sat, _ = is_splittable(g, [t1, t2], engine="sat")
-            got_rec, _ = is_splittable(g, [t1, t2], engine="recurse")
-            agreed = agreed and got_sat == expect and got_rec == expect
-            checked += 1
+    for g, t1, t2 in criterion_6_instances():
+        expect = brute_splittable_2(g, t1, t2)
+        got_sat, _ = is_splittable(g, [t1, t2], engine="sat")
+        got_rec, _ = is_splittable(g, [t1, t2], engine="recurse")
+        agreed = agreed and got_sat == expect and got_rec == expect
+        checked += 1
     report(6, f"SAT = recursion = brute force on {checked} instances "
               "from levels up to order 6", agreed and checked >= 400)
+
+
+def test_criterion_6_refutations_are_proof_checked(checked_split):
+    # the pool splits everywhere, so near-complete hosts on 7 and 8 vertices
+    # (up to 4 and 3 edges missing, one per class) bring the UNSAT verdicts
+    near_complete = {}
+    for n, most in [(7, 4), (8, 3)]:
+        pairs = list(combinations(range(n), 2))
+        for r in range(most + 1):
+            for gone in combinations(pairs, r):
+                g = Graph.from_edges(n, [e for e in pairs if e not in gone])
+                near_complete.setdefault(canonical_form(g), g)
+    pairs = [(K3, K3), (K3, J4), (K3E, J4), (J4, J4), (K3, K4), (K4, J4)]
+    instances = criterion_6_instances()
+    instances += [(g, t1, t2) for g in near_complete.values() for t1, t2 in pairs]
+    refuted = broken = 0
+    for g, t1, t2 in instances:
+        ok, gens = checked_split(g, t1, t2)
+        refuted += not ok
+        broken += not ok and gens > 0
+    assert refuted == broken == 33
 
 
 def test_criterion_7_annealing():
@@ -166,3 +202,25 @@ def test_criterion_9_extended_split_census(tmp_path):
     rep17 = verify_split_pipeline(17, archive_dir=str(tmp_path))
     assert "splittable under (K3, J4): 0" in str(rep17)
     report(9, "extended: 11813 splittable at order 16, none at 17", True)
+
+
+@pytest.mark.extended
+@pytest.mark.skipif(
+    not os.environ.get("RAMSEYKIT_EXTENDED"),
+    reason="extended gate (minutes of runtime): set RAMSEYKIT_EXTENDED=1",
+)
+def test_symmetry_breaking_keeps_the_pool_verdicts(checked_split, monkeypatch, tmp_path):
+    rows = [line.split("\t") for line in HOSTS16.read_text(encoding="ascii").splitlines()]
+    assert len(rows) == 108
+    refuted = 0
+    for text, recorded, _ in rows:
+        g = complement(parse_graph6(text))
+        ok, _ = checked_split(g, K3, J4)  # proof-checks each refutation
+        unbroken = sat_solve(encode_split_cnf(g, K3, J4)) is not None
+        assert ok == unbroken == (recorded == "1"), text
+        refuted += not ok
+    assert refuted == 100
+    enumerate_good(K3, J7, 10, emit_dir=str(tmp_path), jobs=JOBS)
+    broken = str(verify_split_pipeline(10, archive_dir=str(tmp_path)))
+    monkeypatch.setattr(split, "lex_leader_cnf", lambda f, perms: f)
+    assert str(verify_split_pipeline(10, archive_dir=str(tmp_path))) == broken

@@ -4,12 +4,12 @@ from itertools import combinations
 
 import pytest
 
-from oracles import brute_satisfiable, satisfies
+from oracles import brute_satisfiable, drup_refutes, satisfies
 from ramseykit import targets
 from ramseykit.graph6 import parse_graph6
 from ramseykit.graphs import Graph, complement
 from ramseykit.sat import BudgetExceededError, CnfFormula, sat_solve, write_dimacs
-from ramseykit.split import encode_split_cnf
+from ramseykit.split import edge_automorphisms, encode_split_cnf, lex_leader_cnf
 
 K3 = targets.clique(3)
 J4 = targets.clique_minus_edge(4)
@@ -242,3 +242,53 @@ def test_small_budgets_raise_or_answer_correctly():
             continue
         assert (model is not None) == brute_satisfiable(n, clauses), clauses
     assert 0 < raised < 300
+
+
+def test_unsplit_host_refutation_under_breaking_is_proof_checked(checked_split):
+    ok, broken = checked_split(complement(parse_graph6(UNSPLIT_HOST)), K3, J4)
+    assert not ok and broken > 0
+
+
+@pytest.mark.parametrize("build, budget, digest", PINNED_MODELS)
+def test_proof_log_leaves_the_search_unchanged(build, budget, digest):
+    proof: list[str] = []
+    model = sat_solve(build(), max_conflicts=budget, proof=proof)
+    assert hashlib.sha256(bytes(model)).hexdigest() == digest
+    assert "0" not in proof  # SAT: no empty clause
+
+
+def unsplit_host_refutation():
+    g = complement(parse_graph6(UNSPLIT_HOST))
+    f = encode_split_cnf(g, K3, J4)
+    broken = lex_leader_cnf(f, edge_automorphisms(g, f.edges))
+    proof: list[str] = []
+    assert sat_solve(broken, proof=proof) is None
+    return broken, proof
+
+
+def test_drup_checker_accepts_proofs_with_units_and_deletions():
+    broken, proof = unsplit_host_refutation()
+    assert proof[-1] == "0" and any(len(line.split()) == 2 for line in proof)
+    assert drup_refutes(broken.var_count, broken.clauses, proof)
+    assert not drup_refutes(broken.var_count, broken.clauses, proof[:-1])  # no empty clause
+    f = pigeonhole(8, 7)  # long enough to forget learnt clauses
+    proof = []
+    assert sat_solve(f, proof=proof) is None
+    assert sum(line.startswith("d ") for line in proof) > 0
+    assert drup_refutes(f.var_count, f.clauses, proof)
+
+
+def test_drup_checker_rejects_a_dropped_lemma_or_a_flipped_literal():
+    broken, proof = unsplit_host_refutation()
+    nv, clauses = broken.var_count, broken.clauses
+    # many lemmas are redundant, so a mutant may still be a valid proof;
+    # these are not: the first and the fourth lemma dropped or with their
+    # first literal flipped, and the lemma before the empty clause dropped
+    for i in (0, 3):
+        assert not drup_refutes(nv, clauses, proof[:i] + proof[i + 1 :]), i
+        first, rest = proof[i].split(" ", 1)
+        flipped = f"{-int(first)} {rest}"
+        assert not drup_refutes(nv, clauses, proof[:i] + [flipped] + proof[i + 1 :]), i
+    assert not drup_refutes(nv, clauses, proof[:-2] + proof[-1:])
+    assert not drup_refutes(nv, clauses, ["d 1 2 3 0"] + proof)  # not a clause
+    assert not drup_refutes(nv, clauses, ["0"])  # no unit refutes it at once

@@ -3,19 +3,30 @@ import random
 
 import pytest
 
-from oracles import brute_splittable_2, brute_splittable_m, naive_copies, random_graph
+from oracles import (
+    brute_models,
+    brute_splittable_2,
+    brute_splittable_m,
+    naive_copies,
+    permutes_clauses,
+    random_graph,
+)
 from ramseykit import targets
 from ramseykit.coloring import color_class
 from ramseykit.detect import coloring_is_valid, contains, list_copies
 from ramseykit.enumeration import extend_level
 from ramseykit.graphs import Graph, complement
-from ramseykit.sat import sat_solve
+from ramseykit.constructions import schlafli
+from ramseykit.sat import CnfFormula, sat_solve
 from ramseykit.split import (
+    CHAIN_LENGTH,
     SplitWitness,
     arrows,
     compose_coloring,
+    edge_automorphisms,
     encode_split_cnf,
     is_splittable,
+    lex_leader_cnf,
     recursive_split,
 )
 
@@ -277,3 +288,72 @@ def test_split_pipeline_toy_level():
         assert ok  # everything splits this far below the threshold
         c = compose_coloring(f, witness)
         assert coloring_is_valid(c, [K3, K3, J4]).valid
+
+
+def test_edge_automorphisms_map_the_copy_clauses_onto_themselves():
+    rng = random.Random("edge-automorphisms")
+    pairs = [(K3, J4), (K3, K3), (C4, K3E)]
+    hosts = [(complement(schlafli()), pairs[:1]), (Graph.complete(5), pairs), (j7_graph(), pairs)]
+    hosts += [(random_graph(rng, rng.randint(4, 8), rng.random()), pairs) for _ in range(30)]
+    broken = 0
+    for g, pairs in hosts:
+        if g.edge_count == 0:
+            continue
+        for t1, t2 in pairs:
+            f = encode_split_cnf(g, t1, t2)
+            perms = edge_automorphisms(g, f.edges)
+            assert permutes_clauses(f.clauses, perms), (g.adj, t1, t2)
+            broken += len(perms)
+    assert broken > 100
+
+
+def test_permutes_clauses_rejects_a_non_automorphism():
+    g = complement(schlafli())
+    f = encode_split_cnf(g, K3, J4)
+    real = edge_automorphisms(g, f.edges)[0]
+    assert permutes_clauses(f.clauses, [real])
+    swap = list(range(f.var_count))
+    swap[0], swap[1] = 1, 0  # two edges of the first triangle; no automorphism
+    assert not permutes_clauses(f.clauses, [tuple(swap)])
+    assert not permutes_clauses(f.clauses, [real, tuple(real[i] for i in swap)])
+    assert not permutes_clauses(f.clauses, [(0,) * f.var_count])
+
+
+def test_lex_leader_chains_admit_exactly_the_lex_leaders():
+    # projected onto the first n variables, the models of the chains are the
+    # x with x <= x o perm on the first CHAIN_LENGTH moved positions, for
+    # every perm; f's own clauses stay first and untouched
+    rng = random.Random("lex-leader")
+    base = [(1, 2), (-2, -3)]
+    for _ in range(60):
+        n = rng.randint(3, 8)
+        perms = []
+        for _ in range(rng.randint(1, 2)):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            perms.append(tuple(perm))
+        broken = lex_leader_cnf(CnfFormula(n, base), perms)
+        assert broken.clauses[:2] == base and not broken.edges
+        got = {int(x) & ((1 << n) - 1) for x in brute_models(broken.var_count, broken.clauses)}
+        expect = set()
+        for x in range(1 << n):
+            bit = [x >> i & 1 for i in range(n)]
+            if not (bit[0] or bit[1]) or (bit[1] and bit[2]):
+                continue
+            if all(
+                [bit[i] for i in moved] <= [bit[p[i]] for i in moved]
+                for p in perms
+                for moved in [[i for i in range(n) if p[i] != i][:CHAIN_LENGTH]]
+            ):
+                expect.add(x)
+        assert got == expect, perms
+
+
+def test_breaking_leaves_witnesses_models_of_the_unbroken_formula():
+    for g, ts in [(Graph.complete(5), [K3, K3]), (schlafli(), [J4, J4])]:
+        f = encode_split_cnf(g, *ts)
+        assert edge_automorphisms(g, f.edges)
+        ok, witness = is_splittable(g, ts, engine="sat")
+        assert ok
+        model = [witness.as_dict()[e] == 1 for e in f.edges]
+        assert all(any(model[abs(l) - 1] == (l > 0) for l in cl) for cl in f.clauses)

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from oracles import brute_splittable_2
-from ramseykit import targets
+from ramseykit import split, targets
 from ramseykit.anneal import anneal_search
 from ramseykit.canon import canonical_form
 from ramseykit.coloring import EdgeColoring, delete_coloring_vertex
@@ -20,7 +20,6 @@ from ramseykit.constructions import (
 )
 from ramseykit.detect import coloring_is_valid, contains, is_good, list_copies
 from ramseykit.enumeration import enumerate_good, extend_level
-from ramseykit import split
 from ramseykit.graph6 import parse_graph6
 from ramseykit.graphs import Graph, complement
 from ramseykit.sat import sat_solve
@@ -111,6 +110,9 @@ def test_criterion_5_schlafli_suite():
               "complement unsplittable for K3|J4", ok)
 
 
+PAIRS_6 = [(K3, K3), (K3, J4), (K3E, J4), (J4, J4), (K3, K4), (K4, J4)]
+
+
 def criterion_6_instances():
     """(host, t1, t2) for the good graphs up to order 6 with 1 to 15 edges."""
     pool: list[Graph] = []
@@ -120,8 +122,7 @@ def criterion_6_instances():
         for _ in range(5):
             level = extend_level(level, t1, t2)
             pool.extend(level)
-    pairs = [(K3, K3), (K3, J4), (K3E, J4), (J4, J4), (K3, K4), (K4, J4)]
-    return [(g, t1, t2) for g in pool if 0 < g.edge_count <= 15 for t1, t2 in pairs]
+    return [(g, t1, t2) for g in pool if 0 < g.edge_count <= 15 for t1, t2 in PAIRS_6]
 
 
 def test_criterion_5_complement_refutation_is_proof_checked(checked_split):
@@ -152,9 +153,8 @@ def test_criterion_6_refutations_are_proof_checked(checked_split):
             for gone in combinations(pairs, r):
                 g = Graph.from_edges(n, [e for e in pairs if e not in gone])
                 near_complete.setdefault(canonical_form(g), g)
-    pairs = [(K3, K3), (K3, J4), (K3E, J4), (J4, J4), (K3, K4), (K4, J4)]
     instances = criterion_6_instances()
-    instances += [(g, t1, t2) for g in near_complete.values() for t1, t2 in pairs]
+    instances += [(g, t1, t2) for g in near_complete.values() for t1, t2 in PAIRS_6]
     refuted = broken = 0
     for g, t1, t2 in instances:
         ok, gens = checked_split(g, t1, t2)
@@ -221,6 +221,6 @@ def test_symmetry_breaking_keeps_the_pool_verdicts(checked_split, monkeypatch, t
         refuted += not ok
     assert refuted == 100
     enumerate_good(K3, J7, 10, emit_dir=str(tmp_path), jobs=JOBS)
-    broken = str(verify_split_pipeline(10, archive_dir=str(tmp_path)))
+    with_chains = str(verify_split_pipeline(10, archive_dir=str(tmp_path)))
     monkeypatch.setattr(split, "lex_leader_cnf", lambda f, perms: f)
-    assert str(verify_split_pipeline(10, archive_dir=str(tmp_path))) == broken
+    assert str(verify_split_pipeline(10, archive_dir=str(tmp_path))) == with_chains

@@ -7,7 +7,10 @@ random edge in place, scored incrementally by counting only the copies
 through that edge with the closed forms of
 :func:`detect.count_copies_with_edge`, and are accepted by the Metropolis
 rule under a geometric cooling schedule with deterministic per-restart
-seeds. The initial energy sums the same closed forms over every edge
+seeds. A move draws its edge and its new color from ``getrandbits`` with
+the rejection loop of ``Random.randrange``, so the values and the
+generator's state follow ``randrange`` bit for bit. The initial energy sums
+the same closed forms over every edge of the color masks
 (:func:`detect.count_copies`). This module knows no target kind: all
 per-kind search lives in :mod:`detect`.
 """
@@ -22,7 +25,6 @@ from typing import Sequence
 from .coloring import EdgeColoring, color_class
 from .detect import coloring_is_valid, count_copies, count_copies_with_edge
 from .detect import list_copies  # noqa: F401  (perfbench's tracer wraps it here)
-from .graphs import Graph
 from .targets import Target
 
 
@@ -65,7 +67,7 @@ def energy(c: EdgeColoring, targets: Sequence[Target]) -> int:
     """Monochromatic copies of target i in color class i, summed over i."""
     if len(targets) != c.m:
         raise ValueError(f"{len(targets)} targets for an {c.m}-coloring")
-    return sum(count_copies(color_class(c, i), targets[i]) for i in range(c.m))
+    return sum(count_copies(color_class(c, i).adj, c.n, targets[i]) for i in range(c.m))
 
 
 def _restart_seed(seed: int, restart: int) -> int:
@@ -87,17 +89,20 @@ def anneal_search(
         raise ValueError("between 1 and 4 targets required")
     pairs = [(u, v, 1 << u, 1 << v) for v in range(n) for u in range(v)]
     npairs = len(pairs)
+    # randrange(b) is getrandbits(b.bit_length()) redrawn until below b
+    others = m - 1  # the colors a move can give an edge
+    ebits, cbits = npairs.bit_length(), others.bit_length()
     exp = math.exp
     best_overall: int | None = None
     for restart in range(params.restarts):
         rng = random.Random(_restart_seed(params.seed, restart))
-        randrange, rand = rng.randrange, rng.random
+        randrange, getrandbits, rand = rng.randrange, rng.getrandbits, rng.random
         colors = [randrange(m) for _ in pairs]
         masks = [[0] * n for _ in range(m)]
         for (u, v, bu, bv), c in zip(pairs, colors):
             masks[c][u] |= bv
             masks[c][v] |= bu
-        cur = sum(count_copies(Graph(n, tuple(row)), t) for row, t in zip(masks, targets))
+        cur = sum(count_copies(mask, n, t) for mask, t in zip(masks, targets))
         if cur == 0:
             return _finish(n, m, colors, targets, restart)
         if m == 1:  # no move changes a one-color state: every restart ends here
@@ -105,10 +110,14 @@ def anneal_search(
         temp = params.initial_temperature
         while temp >= params.min_temperature:
             for _ in range(params.sweeps_per_temperature * npairs):
-                ei = randrange(npairs)
+                ei = getrandbits(ebits)
+                while ei >= npairs:
+                    ei = getrandbits(ebits)
                 u, v, bu, bv = pairs[ei]
                 old = colors[ei]
-                new = randrange(m - 1)
+                new = getrandbits(cbits)
+                while new >= others:
+                    new = getrandbits(cbits)
                 if new >= old:
                     new += 1
                 frm, to = masks[old], masks[new]

@@ -169,19 +169,20 @@ def contains(g: Graph, t: Target) -> bool:
     return next(_COPIES[t.kind](g.adj, g.n, t.k), None) is not None
 
 
-def count_copies(g: Graph, t: Target) -> int:
-    """Number of distinct copies of ``t`` in ``g``; ``len(list_copies(g, t))``.
+def count_copies(masks: Sequence[int], n: int, t: Target) -> int:
+    """Number of distinct copies of ``t`` in the mask graph on ``n``
+    vertices; ``len(list_copies(g, t))`` for ``masks = g.adj``.
 
-    Each copy has |E(t)| edges, so the copies through the edges of ``g``,
-    summed by the closed forms of :func:`count_copies_with_edge`, count
-    every copy |E(t)| times; no copy is built.
+    Each copy has |E(t)| edges, so the copies through the edges of the
+    graph, summed by the closed forms of :func:`count_copies_with_edge`,
+    count every copy |E(t)| times; no copy is built.
     """
     through = _THROUGH_EDGE[t.kind]
-    adj, n, k = g.adj, g.n, t.k
+    k = t.k
     total = 0
     for v in range(n):
-        for u in iter_bits(adj[v] & ((1 << v) - 1)):
-            total += through(adj, n, k, u, v)
+        for u in iter_bits(masks[v] & ((1 << v) - 1)):
+            total += through(masks, n, k, u, v)
     return total // t.edge_count
 
 
@@ -248,23 +249,51 @@ def critical_sets(adj: Sequence[int], n: int, t: Target) -> list[int]:
 
 
 def _clique_through(masks: Sequence[int], n: int, k: int, u: int, v: int) -> int:
-    return count_cliques(masks, masks[u] & masks[v], k - 2)
+    c = masks[u] & masks[v]
+    # the rest of the clique is a (k-2)-clique in C; for K3 a single vertex
+    return c.bit_count() if k == 3 else count_cliques(masks, c, k - 2)
 
 
 def _cme_through(masks: Sequence[int], n: int, k: int, u: int, v: int) -> int:
+    """J_k copies through {u,v}, both terms from one walk over the
+    (k-4)-cliques Q of C (:func:`_cme_walk`).
+
+    u and v on the spine: the rest of the spine is Q, and the two tips are
+    any pair of N(Q) ∩ C. One endpoint on the spine, the other a tip: the
+    rest of the spine is a (k-3)-clique Q + w of C, w its highest vertex,
+    and the other tip is any common neighbor of Q + w and the spine
+    endpoint except the tip endpoint. At k = 4, Q is empty and the walk is
+    one loop over C.
+    """
     mu, mv = masks[u], masks[v]
     c = mu & mv
-    # u and v on the spine: the rest of the spine is a (k-4)-clique Q in C,
-    # and the two tips are any pair adjacent to the whole spine
-    total = 0
-    for q in _clique_commons(masks, c, k - 4, c):
-        x = q.bit_count()
-        total += x * (x - 1) >> 1
-    # one endpoint on the spine, the other a tip: the rest of the spine is a
-    # (k-3)-clique Q in C, and the other tip is any common neighbor of Q and
-    # the spine endpoint except the tip endpoint
-    for q in _clique_commons(masks, c, k - 3, -1):
-        total += (q & mu).bit_count() + (q & mv).bit_count() - 2
+    return _cme_walk(masks, c, k - 4, -1, c, mu, mv)
+
+
+def _cme_walk(
+    masks: Sequence[int], cand: int, d: int, common: int, c: int, mu: int, mv: int
+) -> int:
+    """The terms of :func:`_cme_through` for each Q = P + R, R a d-clique
+    inside ``cand``, where P is a clique of C, ``common`` is N(P) and
+    ``cand`` is N(P) ∩ C above P."""
+    if d:
+        total = 0
+        while cand.bit_count() >= d:
+            low = cand & -cand
+            w = masks[low.bit_length() - 1]
+            cand ^= low
+            total += _cme_walk(masks, cand & w, d - 1, common & w, c, mu, mv)
+        return total
+    x = (common & c).bit_count()
+    total = x * (x - 1) >> 1
+    # each w of cand completes the spine with one endpoint; the other tip is
+    # a common neighbor of Q + w and that endpoint, less the tip endpoint
+    total -= 2 * cand.bit_count()
+    while cand:
+        low = cand & -cand
+        q = common & masks[low.bit_length() - 1]
+        total += (q & mu).bit_count() + (q & mv).bit_count()
+        cand ^= low
     return total
 
 
@@ -321,7 +350,12 @@ _THROUGH_EDGE = {
 def count_copies_with_edge(
     masks: Sequence[int], n: int, t: Target, u: int, v: int
 ) -> int:
-    """Copies of ``t`` through the present edge {u,v} of the mask graph."""
+    """Copies of ``t`` through the present edge {u,v} of the mask graph.
+
+    K_k and J_k counts are each one walk over the cliques of C = N(u) ∩ N(v)
+    that carries their common neighborhoods: no copy and no list is built,
+    and K3 and J4 need no recursion (a bit count, one loop over C).
+    """
     return _THROUGH_EDGE[t.kind](masks, n, t.k, u, v)
 
 

@@ -86,20 +86,22 @@ def brute_automorphisms(g: Graph) -> set[tuple[int, ...]]:
 
 
 def brute_splittable_2(g: Graph, t1: Target, t2: Target) -> bool:
-    """Vectorized scan of all 2^E colorings (E must stay modest)."""
+    """Vectorized scan of all 2^E colorings (E must stay modest).
+
+    ``bad`` has one axis per edge, indexed by its color (0 for t1, 1 for
+    t2); each copy marks the colorings that give all its edges its color.
+    """
     edges = g.edges()
-    nedges = len(edges)
-    assert nedges <= 22, "oracle limited to small edge counts"
+    assert len(edges) <= 22, "oracle limited to small edge counts"
     index = {e: i for i, e in enumerate(edges)}
-    m1 = [sum(1 << index[e] for e in cp) for cp in naive_copies(g, t1)]
-    m2 = [sum(1 << index[e] for e in cp) for cp in naive_copies(g, t2)]
-    states = np.arange(1 << nedges, dtype=np.uint32)
-    bad = np.zeros(states.shape, dtype=bool)
-    for cm in m1:
-        bad |= (states & cm) == 0  # copy of t1 entirely in color 1 (zero bits)
-    for cm in m2:
-        bad |= (states & cm) == cm  # copy of t2 entirely in color 2 (one bits)
-    return bool(np.count_nonzero(~bad))
+    bad = np.zeros((2,) * len(edges), dtype=bool)
+    for t, color in ((t1, 0), (t2, 1)):
+        for cp in naive_copies(g, t):
+            at: list = [slice(None)] * len(edges)
+            for e in cp:
+                at[index[e]] = color
+            bad[tuple(at)] = True
+    return not bad.all()
 
 
 def brute_splittable_m(g: Graph, targets: list[Target]) -> bool:

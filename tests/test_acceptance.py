@@ -3,6 +3,7 @@ PASS/FAIL line. Everything asserts exact values; no tolerances apply
 anywhere in this suite."""
 
 import os
+from functools import cache
 from itertools import combinations
 from pathlib import Path
 
@@ -125,36 +126,46 @@ def criterion_6_instances():
     return [(g, t1, t2) for g in pool if 0 < g.edge_count <= 15 for t1, t2 in PAIRS_6]
 
 
+@cache
+def near_complete_instances(n: int, most: int) -> list:
+    """(host, t1, t2) for K_n less up to ``most`` edges, one host per class."""
+    hosts = {}
+    pairs = list(combinations(range(n), 2))
+    for r in range(most + 1):
+        for gone in combinations(pairs, r):
+            g = Graph.from_edges(n, [e for e in pairs if e not in gone])
+            hosts.setdefault(canonical_form(g), g)
+    return [(g, t1, t2) for g in hosts.values() for t1, t2 in PAIRS_6]
+
+
 def test_criterion_5_complement_refutation_is_proof_checked(checked_split):
     ok, broken = checked_split(complement(schlafli()), K3, J4)
     assert not ok and broken > 0
 
 
 def test_criterion_6_engine_cross_agreement():
-    checked = 0
+    # the pool splits everywhere, so the near-complete 7-vertex hosts (at
+    # most 21 edges, within the brute force's reach) bring the arrowing
+    # verdicts; they add about 1.3 s to tier-1
+    checked = arrowing = 0
     agreed = True
-    for g, t1, t2 in criterion_6_instances():
+    for g, t1, t2 in criterion_6_instances() + near_complete_instances(7, 4):
         expect = brute_splittable_2(g, t1, t2)
         got_sat, _ = is_splittable(g, [t1, t2], engine="sat")
         got_rec, _ = is_splittable(g, [t1, t2], engine="recurse")
         agreed = agreed and got_sat == expect and got_rec == expect
         checked += 1
-    report(6, f"SAT = recursion = brute force on {checked} instances "
-              "from levels up to order 6", agreed and checked >= 400)
+        arrowing += not expect
+    report(6, f"SAT = recursion = brute force on {checked} instances from levels "
+              f"up to order 6 and near-complete 7-vertex hosts, {arrowing} arrowing",
+           agreed and checked >= 520 and arrowing >= 9)
 
 
 def test_criterion_6_refutations_are_proof_checked(checked_split):
     # the pool splits everywhere, so near-complete hosts on 7 and 8 vertices
     # (up to 4 and 3 edges missing, one per class) bring the UNSAT verdicts
-    near_complete = {}
-    for n, most in [(7, 4), (8, 3)]:
-        pairs = list(combinations(range(n), 2))
-        for r in range(most + 1):
-            for gone in combinations(pairs, r):
-                g = Graph.from_edges(n, [e for e in pairs if e not in gone])
-                near_complete.setdefault(canonical_form(g), g)
     instances = criterion_6_instances()
-    instances += [(g, t1, t2) for g in near_complete.values() for t1, t2 in PAIRS_6]
+    instances += near_complete_instances(7, 4) + near_complete_instances(8, 3)
     refuted = broken = 0
     for g, t1, t2 in instances:
         ok, gens = checked_split(g, t1, t2)

@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from oracles import naive_copies
-from ramseykit import targets
+from oracles import naive_copies, random_graph
+from ramseykit import anneal, targets
 from ramseykit.anneal import (
     AnnealParams,
     AnnealResult,
@@ -15,10 +15,13 @@ from ramseykit.anneal import (
 from ramseykit.coloring import EdgeColoring, color_class, emit_coloring_matrix
 from ramseykit.constructions import figure_coloring
 from ramseykit.detect import coloring_is_valid
+from ramseykit.graphs import Graph, add_vertex
 
 K3 = targets.clique(3)
 K4 = targets.clique(4)
 J4 = targets.clique_minus_edge(4)
+J5 = targets.clique_minus_edge(5)
+J6 = targets.clique_minus_edge(6)
 
 
 def test_params_validation():
@@ -92,6 +95,29 @@ def test_edge_copy_counts_match_naive_recount(t):
                 assert got == count_with_edge_oracle(c, i, t, u, v)
 
 
+def edge_counts_match_naive(g, t):
+    copies = naive_copies(g, t)
+    for u, v in g.edges():
+        expect = sum(1 for copy in copies if (u, v) in copy)
+        assert count_copies_with_edge(list(g.adj), g.n, t, u, v) == expect, (g.adj, t, u, v)
+    return len(copies)
+
+
+@pytest.mark.parametrize("t", [K3, J4, J5, J6])
+def test_edge_copy_counts_on_empty_full_and_deep_walks(t):
+    # C empty: every edge of a complete bipartite graph, and a pendant edge
+    # next to a clique
+    bipartite = Graph.from_edges(7, [(u, v) for u in range(3) for v in range(3, 7)])
+    assert edge_counts_match_naive(bipartite, t) == 0
+    edge_counts_match_naive(add_vertex(Graph.complete(7), 0b1), t)
+    # a complete color class: C is every other vertex
+    assert edge_counts_match_naive(Graph.complete(8), t) > 0
+    # dense random hosts, where the J5 and J6 walks go below one loop over C
+    rng = random.Random(t.k)
+    for n in (9, 10, 11):
+        assert edge_counts_match_naive(random_graph(rng, n, 0.8), t) > 0
+
+
 def test_energy_delta_matches_recount_after_recolor():
     # move an edge between classes and compare incremental vs full energy
     rng = random.Random(55)
@@ -160,12 +186,64 @@ def test_one_color_search_makes_no_moves(monkeypatch):
             CountingRandom.draws += 1
             return super().randrange(*args)
 
+    scored = []
     monkeypatch.setattr(random, "Random", CountingRandom)
+    monkeypatch.setattr(anneal, "count_copies_with_edge", lambda *a: scored.append(a))
     result = anneal_search(20, [K3], AnnealParams(restarts=5))
     assert result == AnnealResult(None, 1140, 5)  # C(20, 3) triangles
-    assert CountingRandom.draws == 190  # one restart's coloring, no move
+    assert CountingRandom.draws == 190  # one restart's coloring
+    assert scored == []  # and no move
     result = anneal_search(2, [K3], AnnealParams(restarts=5))
     assert result.success and result.restarts_used == 1
+
+
+# Edge bounds 1, 3, 190, 435 and 2016 (n = 2, 3, 20, 30, 64) and color
+# bounds 1, 2 and 3 (m = 2, 3, 4)
+DRAW_CASES = [(2, 2), (3, 3), (20, 4), (30, 2), (64, 3), (64, 4)]
+
+
+@pytest.mark.parametrize("n, m", DRAW_CASES)
+def test_move_draws_follow_randrange(monkeypatch, n, m):
+    """Each move's edge and new color are what ``Random.randrange`` gives on
+    a twin generator, and the search leaves its generator in the twin's
+    state."""
+    Twin = random.Random
+    made = []
+
+    class Kept(Twin):
+        def __init__(self, seed):
+            super().__init__(seed)
+            made.append(self)
+
+    moves = []
+
+    def scored(masks, size, t, u, v):
+        moves.append((t, u, v))
+        return 0  # every move is taken, without a Metropolis draw
+
+    monkeypatch.setattr(random, "Random", Kept)
+    monkeypatch.setattr(anneal, "count_copies_with_edge", scored)
+    # every edge is a copy of K2, so the energy stays positive; distinct
+    # target objects tell the colors apart
+    tgts = [targets.clique(2) for _ in range(m)]
+    color = {id(t): i for i, t in enumerate(tgts)}
+    edges = [(u, v) for v in range(n) for u in range(v)]  # the search's edge order
+    index = {e: i for i, e in enumerate(edges)}
+    for seed in (0, 1, 7, 2024):
+        made.clear()
+        moves.clear()
+        one_sweep = AnnealParams(1.0, cooling=0.5, restarts=1, seed=seed, min_temperature=0.6)
+        anneal_search(n, tgts, one_sweep)
+        twin = Twin(anneal._restart_seed(seed, 0))
+        colors = [twin.randrange(m) for _ in edges]
+        assert len(moves) == 2 * len(edges)
+        for (t_old, u, v), (t_new, *edge) in zip(moves[::2], moves[1::2]):
+            ei = index[u, v]
+            assert edge == [u, v] and ei == twin.randrange(len(edges))
+            old, new = color[id(t_old)], color[id(t_new)]
+            assert old == colors[ei] and new - (new > old) == twin.randrange(m - 1)
+            colors[ei] = new
+        assert len(made) == 1 and made[0].getstate() == twin.getstate()
 
 
 # Seeded runs pinned by digest: per case, sha256 over the five seeds of

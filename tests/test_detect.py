@@ -95,7 +95,7 @@ def test_count_copies_equals_listed_copies():
     for _ in range(40):
         g = random_graph(rng, rng.randint(1, 10), rng.random())
         for t in ALL_TARGETS:
-            count = count_copies(g, t)
+            count = count_copies(g.adj, g.n, t)
             assert count == len(list_copies(g, t).copies), (g.adj, t)
             if count:
                 kinds.add(t.kind)

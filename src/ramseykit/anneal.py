@@ -7,12 +7,12 @@ random edge in place, scored incrementally by counting only the copies
 through that edge with the closed forms of
 :func:`detect.count_copies_with_edge`, and are accepted by the Metropolis
 rule under a geometric cooling schedule with deterministic per-restart
-seeds. A move draws its edge and its new color from ``getrandbits`` with
-the rejection loop of ``Random.randrange``, so the values and the
-generator's state follow ``randrange`` bit for bit. The initial energy sums
-the same closed forms over every edge of the color masks
-(:func:`detect.count_copies`). This module knows no target kind: all
-per-kind search lives in :mod:`detect`.
+seeds. The initial colors and each move's edge and new color are drawn
+from ``getrandbits`` with the rejection loop of ``Random.randrange``, so
+the values and the generator's state follow ``randrange`` bit for bit.
+The initial energy sums the same closed forms over every edge of the
+color masks (:func:`detect.count_copies`). This module knows no target
+kind: all per-kind search lives in :mod:`detect`.
 """
 
 from __future__ import annotations
@@ -91,13 +91,18 @@ def anneal_search(
     npairs = len(pairs)
     # randrange(b) is getrandbits(b.bit_length()) redrawn until below b
     others = m - 1  # the colors a move can give an edge
-    ebits, cbits = npairs.bit_length(), others.bit_length()
+    mbits, ebits, cbits = m.bit_length(), npairs.bit_length(), others.bit_length()
     exp = math.exp
     best_overall: int | None = None
     for restart in range(params.restarts):
         rng = random.Random(_restart_seed(params.seed, restart))
-        randrange, getrandbits, rand = rng.randrange, rng.getrandbits, rng.random
-        colors = [randrange(m) for _ in pairs]
+        getrandbits, rand = rng.getrandbits, rng.random
+        colors = []
+        for _ in pairs:
+            c = getrandbits(mbits)
+            while c >= m:
+                c = getrandbits(mbits)
+            colors.append(c)
         masks = [[0] * n for _ in range(m)]
         for (u, v, bu, bv), c in zip(pairs, colors):
             masks[c][u] |= bv

@@ -4,9 +4,11 @@ Containment is always in the subgraph sense (never induced). This is the
 only module that knows how each target kind is found. Per kind it holds one
 lazy copy generator, which backs :func:`list_copies`, :func:`contains` and
 the enumerator's screen :func:`critical_sets`, and one closed form for the
-number of copies through a present edge {u,v}. Annealing scores a move with
-the closed form, and :func:`count_copies` sums it over the host's edges:
-each copy is counted once per edge of the target, so no copy is built.
+number of copies through a present edge {u,v}. The closed forms have one
+dispatch point, :func:`count_copies_with_edge`, which evaluates the K_k and
+J_k forms in its own body. Annealing scores a move with one call to it, and
+:func:`count_copies` sums it over the host's edges: each copy is counted
+once per edge of the target, so no copy is built.
 Everything works on neighborhood bitmasks: a clique is grown by
 intersecting candidate masks, J_k is located as a vertex pair whose common
 neighborhood holds a (k-2)-clique, and so on for the other patterns in the
@@ -177,12 +179,10 @@ def count_copies(masks: Sequence[int], n: int, t: Target) -> int:
     graph, summed by the closed forms of :func:`count_copies_with_edge`,
     count every copy |E(t)| times; no copy is built.
     """
-    through = _THROUGH_EDGE[t.kind]
-    k = t.k
     total = 0
     for v in range(n):
         for u in iter_bits(masks[v] & ((1 << v) - 1)):
-            total += through(masks, n, k, u, v)
+            total += count_copies_with_edge(masks, n, t, u, v)
     return total // t.edge_count
 
 
@@ -245,59 +245,72 @@ def critical_sets(adj: Sequence[int], n: int, t: Target) -> list[int]:
 # Copies through a present edge {u,v}, in closed bitset form. C is the
 # common neighborhood of u and v; every form splits the copies by the roles
 # u and v play in the pattern and counts each role's completions with
-# clique loops inside C.
+# clique loops inside C. count_copies_with_edge is the one dispatch point.
 
 
-def _clique_through(masks: Sequence[int], n: int, k: int, u: int, v: int) -> int:
-    c = masks[u] & masks[v]
-    # the rest of the clique is a (k-2)-clique in C; for K3 a single vertex
-    return c.bit_count() if k == 3 else count_cliques(masks, c, k - 2)
-
-
-def _cme_through(masks: Sequence[int], n: int, k: int, u: int, v: int) -> int:
-    """J_k copies through {u,v}, both terms from one walk over the
-    (k-4)-cliques Q of C (:func:`_cme_walk`).
-
-    u and v on the spine: the rest of the spine is Q, and the two tips are
-    any pair of N(Q) ∩ C. One endpoint on the spine, the other a tip: the
-    rest of the spine is a (k-3)-clique Q + w of C, w its highest vertex,
-    and the other tip is any common neighbor of Q + w and the spine
-    endpoint except the tip endpoint. At k = 4, Q is empty and the walk is
-    one loop over C.
-    """
-    mu, mv = masks[u], masks[v]
-    c = mu & mv
-    return _cme_walk(masks, c, k - 4, -1, c, mu, mv)
-
-
-def _cme_walk(
-    masks: Sequence[int], cand: int, d: int, common: int, c: int, mu: int, mv: int
+def count_copies_with_edge(
+    masks: Sequence[int], n: int, t: Target, u: int, v: int
 ) -> int:
-    """The terms of :func:`_cme_through` for each Q = P + R, R a d-clique
-    inside ``cand``, where P is a clique of C, ``common`` is N(P) and
-    ``cand`` is N(P) ∩ C above P."""
-    if d:
+    """Copies of ``t`` through the present edge {u,v} of the mask graph.
+
+    K_k: the rest of the clique is a (k-2)-clique of C = N(u) ∩ N(v), for
+    K3 a single vertex. J_k: the (k-4)-cliques Q of C are the leaves, each
+    with cand = N(Q) ∩ C above Q. u and v on the spine: the rest of the
+    spine is Q, and the two tips are any pair of N(Q) ∩ C. One endpoint on
+    the spine, the other a tip: the rest of the spine is Q + w for a w of
+    cand, and the other tip is any common neighbor of Q + w and the spine
+    endpoint except the tip endpoint. J4 has one leaf, Q empty, so its
+    count is one loop over C; deeper J_k walk to their leaves on an
+    explicit stack. No copy is built.
+    """
+    kind = t.kind
+    if kind == CLIQUE_MINUS_EDGE:
+        # nu, nv: N(Q) ∩ N(u) and N(Q) ∩ N(v); x = |N(Q) ∩ C|
+        nu, nv = masks[u], masks[v]
+        cand = nu & nv
+        if not cand:
+            return 0
+        x = cand.bit_count()
+        leaves: list[tuple[int, int, int]] | tuple = ()
+        if t.k > 4:
+            leaves = []
+            stack = [(cand, t.k - 4, nu, nv)]  # d vertices of Q still to pick
+            while stack:
+                cand, d, nu, nv = stack.pop()
+                while cand.bit_count() >= d:
+                    low = cand & -cand
+                    w = masks[low.bit_length() - 1]
+                    cand ^= low
+                    if d == 1:
+                        leaves.append((cand & w, nu & w, nv & w))
+                    else:
+                        stack.append((cand & w, d - 1, nu & w, nv & w))
+            if not leaves:
+                return 0
+            cand, nu, nv = leaves.pop()
+            x = (nu & nv).bit_count()
         total = 0
-        while cand.bit_count() >= d:
-            low = cand & -cand
-            w = masks[low.bit_length() - 1]
-            cand ^= low
-            total += _cme_walk(masks, cand & w, d - 1, common & w, c, mu, mv)
-        return total
-    x = (common & c).bit_count()
-    total = x * (x - 1) >> 1
-    # each w of cand completes the spine with one endpoint; the other tip is
-    # a common neighbor of Q + w and that endpoint, less the tip endpoint
-    total -= 2 * cand.bit_count()
-    while cand:
-        low = cand & -cand
-        q = common & masks[low.bit_length() - 1]
-        total += (q & mu).bit_count() + (q & mv).bit_count()
-        cand ^= low
-    return total
+        while True:
+            total += x * (x - 1) >> 1
+            # the other tip is not the tip endpoint: -1 for each endpoint
+            while cand:
+                low = cand & -cand
+                w = masks[low.bit_length() - 1]
+                total += (nu & w).bit_count() + (nv & w).bit_count() - 2
+                cand ^= low
+            if not leaves:
+                return total
+            cand, nu, nv = leaves.pop()
+            x = (nu & nv).bit_count()
+    if kind == CLIQUE:
+        c = masks[u] & masks[v]
+        return c.bit_count() if t.k == 3 else count_cliques(masks, c, t.k - 2)
+    if kind == CLIQUE_MINUS_P3:
+        return _cmp3_through(masks, t.k, u, v)
+    return _cycle_through(masks, t.k, u, v)
 
 
-def _cmp3_through(masks: Sequence[int], n: int, k: int, u: int, v: int) -> int:
+def _cmp3_through(masks: Sequence[int], k: int, u: int, v: int) -> int:
     mu, mv = masks[u], masks[v]
     c = mu & mv
     # u-v is the path-ends edge: a (k-3)-clique core R in C, and a centre
@@ -334,29 +347,9 @@ def _paths(masks: Sequence[int], a: int, b: int, steps: int, seen: int) -> int:
     return total
 
 
-def _cycle_through(masks: Sequence[int], n: int, k: int, u: int, v: int) -> int:
+def _cycle_through(masks: Sequence[int], k: int, u: int, v: int) -> int:
     # each cycle through u-v is the edge plus one v-u path of k-1 edges
     return _paths(masks, v, u, k - 1, (1 << u) | (1 << v))
-
-
-_THROUGH_EDGE = {
-    CLIQUE: _clique_through,
-    CLIQUE_MINUS_EDGE: _cme_through,
-    CLIQUE_MINUS_P3: _cmp3_through,
-    CYCLE: _cycle_through,
-}
-
-
-def count_copies_with_edge(
-    masks: Sequence[int], n: int, t: Target, u: int, v: int
-) -> int:
-    """Copies of ``t`` through the present edge {u,v} of the mask graph.
-
-    K_k and J_k counts are each one walk over the cliques of C = N(u) ∩ N(v)
-    that carries their common neighborhoods: no copy and no list is built,
-    and K3 and J4 need no recursion (a bit count, one loop over C).
-    """
-    return _THROUGH_EDGE[t.kind](masks, n, t.k, u, v)
 
 
 def is_good(g: Graph, t1: Target, t2: Target) -> bool:

@@ -111,11 +111,17 @@ def lex_leader_cnf(f: CnfFormula, perms: Sequence[tuple[int, ...]]) -> CnfFormul
     lexicographically least model in each orbit of the group they generate
     satisfies every chain, so the result is satisfiable exactly when ``f``
     is, and its models restricted to ``f``'s variables are models of ``f``.
+    A permutation of the wrong length, or one that maps a chain position
+    outside the variables, raises ``ValueError``. Only the chain clauses
+    are checked as clauses: ``f``'s own were checked when ``f`` was built,
+    and the new variables only widen their range.
     """
     nv = f.var_count
     extra: list[tuple[int, ...]] = []
     for perm in perms:
         moved = [i for i, j in enumerate(perm) if i != j][:CHAIN_LENGTH]
+        if len(perm) != f.var_count or not all(0 <= perm[i] < len(perm) for i in moved):
+            raise ValueError(f"{perm} does not act on the {f.var_count} variables")
         eq: tuple[int, ...] = ()  # (-e_k-1,), empty while e_0 is true
         for i in moved[:-1]:
             x, y = i + 1, perm[i] + 1
@@ -124,7 +130,9 @@ def lex_leader_cnf(f: CnfFormula, perms: Sequence[tuple[int, ...]]) -> CnfFormul
             eq = (-nv,)
         if moved:
             extra.append(eq + (-moved[-1] - 1, perm[moved[-1]] + 1))
-    return CnfFormula(nv, f.clauses + extra)
+    out = CnfFormula(nv, extra)
+    out.clauses = f.clauses + extra
+    return out
 
 
 def _witness_from_model(g: Graph, model: Sequence[bool], f: CnfFormula) -> SplitWitness:

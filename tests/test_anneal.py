@@ -22,6 +22,8 @@ K4 = targets.clique(4)
 J4 = targets.clique_minus_edge(4)
 J5 = targets.clique_minus_edge(5)
 J6 = targets.clique_minus_edge(6)
+J7 = targets.clique_minus_edge(7)
+K5 = targets.clique(5)
 
 
 def test_params_validation():
@@ -103,7 +105,7 @@ def edge_counts_match_naive(g, t):
     return len(copies)
 
 
-@pytest.mark.parametrize("t", [K3, J4, J5, J6])
+@pytest.mark.parametrize("t", [K3, J4, J5, J6, J7, K5])
 def test_edge_copy_counts_on_empty_full_and_deep_walks(t):
     # C empty: every edge of a complete bipartite graph, and a pendant edge
     # next to a clique
@@ -112,9 +114,11 @@ def test_edge_copy_counts_on_empty_full_and_deep_walks(t):
     edge_counts_match_naive(add_vertex(Graph.complete(7), 0b1), t)
     # a complete color class: C is every other vertex
     assert edge_counts_match_naive(Graph.complete(8), t) > 0
-    # dense random hosts, where the J5 and J6 walks go below one loop over C
+    # dense random hosts, where the J5, J6 and J7 walks go below one loop
+    # over C (J7 holds three frames on the stack); at this density a J7
+    # needs 10 vertices or more to be there at all
     rng = random.Random(t.k)
-    for n in (9, 10, 11):
+    for n in (10, 11) if t == J7 else (9, 10, 11):
         assert edge_counts_match_naive(random_graph(rng, n, 0.8), t) > 0
 
 
@@ -178,23 +182,69 @@ def test_trivial_host_succeeds_immediately():
     assert result.success and result.best_energy == 0
 
 
-def test_one_color_search_makes_no_moves(monkeypatch):
-    class CountingRandom(random.Random):
-        draws = 0
+Twin = random.Random
 
-        def randrange(self, *args):
-            CountingRandom.draws += 1
-            return super().randrange(*args)
 
+@pytest.fixture
+def made(monkeypatch):
+    """Every generator the search makes, kept so that a test can compare
+    its state with a twin's: ``random.Random`` is patched to record them."""
+    made = []
+
+    class Kept(Twin):
+        def __init__(self, seed):
+            super().__init__(seed)
+            made.append(self)
+
+    monkeypatch.setattr(random, "Random", Kept)
+    return made
+
+
+def test_one_color_search_makes_no_moves(monkeypatch, made):
     scored = []
-    monkeypatch.setattr(random, "Random", CountingRandom)
     monkeypatch.setattr(anneal, "count_copies_with_edge", lambda *a: scored.append(a))
     result = anneal_search(20, [K3], AnnealParams(restarts=5))
     assert result == AnnealResult(None, 1140, 5)  # C(20, 3) triangles
-    assert CountingRandom.draws == 190  # one restart's coloring
-    assert scored == []  # and no move
+    # one restart's coloring, 190 draws below 1, and no move
+    twin = Twin(anneal._restart_seed(0, 0))
+    for _ in range(190):
+        twin.randrange(1)
+    assert len(made) == 1 and made[0].getstate() == twin.getstate()
+    assert scored == []
     result = anneal_search(2, [K3], AnnealParams(restarts=5))
     assert result.success and result.restarts_used == 1
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_initial_colors_follow_randrange(monkeypatch, made, m):
+    """Each restart's initial coloring is what ``Random.randrange(m)`` gives
+    on a twin generator, edge by edge, and the draws leave the generator in
+    the twin's state."""
+
+    class Drawn(Exception):
+        pass
+
+    counted = []
+
+    def count(masks, size, t):
+        counted.append(list(masks))
+        if len(counted) == m:  # every color's mask is in: stop before a move
+            raise Drawn
+        return 1
+
+    monkeypatch.setattr(anneal, "count_copies", count)
+    n = 20
+    pairs = [(u, v) for v in range(n) for u in range(v)]  # the search's edge order
+    for seed in (0, 1, 7, 2024):
+        made.clear()
+        counted.clear()
+        with pytest.raises(Drawn):
+            anneal_search(n, [K3] * m, AnnealParams(restarts=1, seed=seed))
+        twin = Twin(anneal._restart_seed(seed, 0))
+        expect = [twin.randrange(m) for _ in pairs]
+        got = [next(c for c in range(m) if counted[c][v] >> u & 1) for u, v in pairs]
+        assert got == expect
+        assert len(made) == 1 and made[0].getstate() == twin.getstate()
 
 
 # Edge bounds 1, 3, 190, 435 and 2016 (n = 2, 3, 20, 30, 64) and color
@@ -203,25 +253,16 @@ DRAW_CASES = [(2, 2), (3, 3), (20, 4), (30, 2), (64, 3), (64, 4)]
 
 
 @pytest.mark.parametrize("n, m", DRAW_CASES)
-def test_move_draws_follow_randrange(monkeypatch, n, m):
+def test_move_draws_follow_randrange(monkeypatch, made, n, m):
     """Each move's edge and new color are what ``Random.randrange`` gives on
     a twin generator, and the search leaves its generator in the twin's
     state."""
-    Twin = random.Random
-    made = []
-
-    class Kept(Twin):
-        def __init__(self, seed):
-            super().__init__(seed)
-            made.append(self)
-
     moves = []
 
     def scored(masks, size, t, u, v):
         moves.append((t, u, v))
         return 0  # every move is taken, without a Metropolis draw
 
-    monkeypatch.setattr(random, "Random", Kept)
     monkeypatch.setattr(anneal, "count_copies_with_edge", scored)
     # every edge is a copy of K2, so the energy stays positive; distinct
     # target objects tell the colors apart

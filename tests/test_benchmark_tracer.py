@@ -1,7 +1,7 @@
 """The benchmark's tracer wraps package names by attribute; entering it
-fails as soon as one of those names disappears from the package. A short
-traced anneal run checks the benchmark's own output check and its
-per-layer counts."""
+fails as soon as one of those names disappears from the package. Short
+traced anneal and split runs check the benchmark's own output check and
+the per-layer counts of each workload's hooks."""
 
 import importlib
 import json
@@ -39,3 +39,19 @@ def test_anneal_benchmark_smoke_run():
     m = result["metrics"]
     calls = [m[f"anneal.count_copies_with_edge.calls.{t}"]["value"] for t in ("J4", "K3")]
     assert sum(calls) == 2 * 570
+
+
+def test_split_benchmark_smoke_run():
+    # about 1.3 s on 2 cores: one host that splits and three that do not,
+    # each through one SAT call, in each of at least two traced rounds
+    run = [sys.executable, str(PERFBENCH / "run.py"), "--workload", "split", "--seed", "1"]
+    done = subprocess.run(
+        run + ["--small", "--seconds", "1", "--trace", "1"],
+        cwd=PERFBENCH.parent, capture_output=True, text=True, check=True, timeout=300,
+    )
+    record, result = (json.loads(line) for line in done.stdout.splitlines()[-2:])
+    assert result["correct"] and result["failed"] == 0
+    assert record["record"]["hosts"] == 4 and record["record"]["splittable_recorded"] == 1
+    m = result["metrics"]
+    assert m["sat.sat_solve.calls"]["value"] == 4
+    assert m["split.splittable"]["value"] == 1

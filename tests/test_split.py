@@ -350,6 +350,24 @@ def test_lex_leader_chains_admit_exactly_the_lex_leaders():
         assert got == expect, perms
 
 
+def test_lex_leader_rejects_a_permutation_index_outside_the_edges():
+    f = CnfFormula(6, [(1, 2), (-2, -3)])
+    lex_leader_cnf(f, [(1, 0, 3, 2, 5, 4)])
+    # far out, into the range of the chain's own variables, negative, and
+    # one position short or long
+    for perm in [
+        (99, 0, 3, 2, 5, 4),
+        (1, 0, 3, 2, 40, 5),
+        (0, 1, 2, 3, 4, 40),
+        (7, 0, 3, 2, 5, 4),
+        (-2, 0, 3, 2, 5, 4),
+        (1, 0, 3, 2, 4),
+        (1, 0, 3, 2, 5, 4, 6),
+    ]:
+        with pytest.raises(ValueError):
+            lex_leader_cnf(f, [perm])
+
+
 def test_breaking_leaves_witnesses_models_of_the_unbroken_formula():
     for g, ts in [(Graph.complete(5), [K3, K3]), (complement(schlafli()), [J4, J4])]:
         f = encode_split_cnf(g, *ts)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from functools import partial
 from itertools import chain, islice
 
@@ -78,7 +78,8 @@ def _split_one(g, targets, engine, max_conflicts):
 
 
 def _cmd_split(args) -> int:
-    with _input(args.input) as fh:
+    # verdicts print as they arrive; the pool closes before the input file
+    with _input(args.input) as fh, ExitStack() as stack:
         solve = partial(
             _split_one,
             targets=parse_target_list(args.targets),
@@ -88,16 +89,13 @@ def _cmd_split(args) -> int:
         hosts = iter_graph6(fh)
         head = list(islice(hosts, 2))  # a pool pays off from two hosts on
         hosts = chain(head, hosts)
+        verdicts = map(solve, hosts)
         if args.jobs > 1 and len(head) > 1:
             import multiprocessing as mp
 
-            with mp.Pool(args.jobs) as pool:
-                pending = [pool.apply_async(solve, (g,)) for g in hosts]
-                results = [p.get() for p in pending]
-        else:
-            results = [solve(g) for g in hosts]
-    for key_hex, ok in results:
-        print(f"{key_hex} {'SPLITTABLE' if ok else 'UNSPLITTABLE'}")
+            verdicts = stack.enter_context(mp.Pool(args.jobs)).imap(solve, hosts)
+        for key_hex, ok in verdicts:
+            print(f"{key_hex} {'SPLITTABLE' if ok else 'UNSPLITTABLE'}", flush=True)
     return EXIT_OK
 
 

@@ -85,8 +85,9 @@ def brute_automorphisms(g: Graph) -> set[tuple[int, ...]]:
     }
 
 
-def brute_splittable_2(g: Graph, t1: Target, t2: Target) -> bool:
-    """Vectorized scan of all 2^E colorings (E must stay modest).
+def brute_avoiding_colorings(g: Graph, t1: Target, t2: Target) -> int:
+    """How many of the 2^E colorings avoid t1 in color 0 and t2 in color 1,
+    by a vectorized scan (E must stay modest).
 
     ``bad`` has one axis per edge, indexed by its color (0 for t1, 1 for
     t2); each copy marks the colorings that give all its edges its color.
@@ -101,7 +102,11 @@ def brute_splittable_2(g: Graph, t1: Target, t2: Target) -> bool:
             for e in cp:
                 at[index[e]] = color
             bad[tuple(at)] = True
-    return not bad.all()
+    return bad.size - int(np.count_nonzero(bad))
+
+
+def brute_splittable_2(g: Graph, t1: Target, t2: Target) -> bool:
+    return brute_avoiding_colorings(g, t1, t2) > 0
 
 
 def brute_splittable_m(g: Graph, targets: list[Target]) -> bool:

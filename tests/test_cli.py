@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import ramseykit
+from ramseykit.canon import canon_raw
 from ramseykit.cli import main
 from ramseykit.coloring import parse_coloring_matrix
 from ramseykit.graph6 import emit_graph6
@@ -243,6 +244,18 @@ def test_conflict_budget_exits_3_with_empty_stdout(command, tmp_path):
     }[command]
     proc = run_cli(argv + ["--max-conflicts", "1"])
     assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", BUDGET_ERROR)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_split_budget_overrun_keeps_the_finished_verdicts(jobs):
+    from ramseykit.targets import clique_minus_edge
+
+    hosts = [Graph.empty(3), clique_minus_edge(7).pattern()]
+    stdin = "".join(emit_graph6(g) + "\n" for g in hosts)
+    argv = ["split", "--targets", "K3e,J4", "--max-conflicts", "1", "--jobs", jobs]
+    proc = run_cli(argv, stdin=stdin)
+    first = f"{canon_raw(3, hosts[0].adj)[0].hex()} SPLITTABLE\n"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, first, BUDGET_ERROR)
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,10 @@
 """Source hygiene: no module imports a name it never uses, package modules
-import each other at module level, never inside a function, and every
-package function is named somewhere outside its own body."""
+import only the standard library and each other, at module level, never
+inside a function, and every package function is named somewhere outside
+its own body."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -89,6 +91,47 @@ def test_scan_flags_a_nested_relative_import(tmp_path):
         "    from .targets import clique\n"
     )
     assert nested_relative_imports(mod) == ["mod.py:5: .", "mod.py:6: .targets"]
+
+
+def non_stdlib_imports(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        for name in names:
+            top = name.split(".")[0]
+            if top not in sys.stdlib_module_names:
+                found.add((node.lineno, top))
+    return [f"{path.name}:{line}: {top}" for line, top in sorted(found)]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_package_imports_only_the_standard_library(path):
+    assert non_stdlib_imports(path) == []
+
+
+def test_scan_flags_a_non_stdlib_import(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text(
+        "from __future__ import annotations\n"
+        "import os.path, numpy as np\n"
+        "from . import sat\n"
+        "from .graphs import Graph\n"
+        "from scipy.sparse import csr_matrix\n"
+        "def f():\n"
+        "    import multiprocessing\n"
+        "    import hypothesis.strategies\n"
+    )
+    assert non_stdlib_imports(mod) == [
+        "mod.py:2: numpy",
+        "mod.py:5: scipy",
+        "mod.py:8: hypothesis",
+    ]
 
 
 def _names(node: ast.AST, inside: frozenset[str] = frozenset()):

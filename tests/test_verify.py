@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from oracles import brute_splittable_2, random_graph
+from oracles import brute_avoiding_colorings, random_graph
 from ramseykit import targets, verify
 from ramseykit.enumeration import enumerate_good
 from ramseykit.graphs import Graph
@@ -43,6 +43,7 @@ def test_arrowing_misses_agree_with_brute_force():
         (targets.clique(3), targets.clique_minus_edge(4)),
         (targets.cycle(4), targets.cycle(4)),
         (targets.clique(2), targets.clique(3)),
+        (targets.triangle_plus_pendant(), targets.clique_minus_edge(4)),
     ]
     seen = set()
     for _ in range(40):
@@ -52,10 +53,9 @@ def test_arrowing_misses_agree_with_brute_force():
         for t1, t2 in pairs:
             misses, examined = verify._arrowing_misses(g, t1, t2)
             assert examined == 1 << g.edge_count
-            splittable = brute_splittable_2(g, t1, t2)
-            assert (misses > 0) == splittable, (g.adj, t1, t2)
-            seen.add(splittable)
-    assert seen == {True, False}
+            assert misses == brute_avoiding_colorings(g, t1, t2), (g.adj, t1, t2)
+            seen.add(misses)
+    assert 0 in seen and len(seen) > 50
 
 
 def test_figures_pass():

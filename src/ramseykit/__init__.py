@@ -10,7 +10,7 @@ commands.
 __version__ = "0.1.0"
 
 from .anneal import AnnealParams, AnnealResult, anneal_search, energy
-from .canon import are_isomorphic, canonical_form, canonical_labeling
+from .canon import are_isomorphic, canonical_form
 from .coloring import (
     EdgeColoring,
     color_class,
@@ -21,7 +21,7 @@ from .constructions import clone_vertex, figure_coloring, schlafli, verify_c51
 from .detect import CopyList, coloring_is_valid, contains, is_good, list_copies
 from .enumeration import EnumerationStats, enumerate_good, extend_level
 from .graph6 import emit_graph6, parse_graph6
-from .graphs import Graph, complement, induced_subgraph
+from .graphs import Graph, complement
 from .sat import CnfFormula, sat_solve, write_dimacs
 from .split import (
     SplitWitness,
@@ -56,7 +56,6 @@ __all__ = [
     "are_isomorphic",
     "arrows",
     "canonical_form",
-    "canonical_labeling",
     "clique",
     "clique_minus_edge",
     "clique_minus_p3",
@@ -74,7 +73,6 @@ __all__ = [
     "enumerate_good",
     "extend_level",
     "figure_coloring",
-    "induced_subgraph",
     "is_good",
     "is_splittable",
     "list_copies",

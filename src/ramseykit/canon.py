@@ -17,7 +17,6 @@ and the labeling, is the same whichever automorphisms are known.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .graphs import Graph, iter_bits, relabel_rows
@@ -237,20 +236,6 @@ def canon_raw(n: int, adj: tuple[int, ...]):
     assert search.best_perm is not None
     key = _pack_key(n, search.best_cols)
     return key, search.best_perm, search.gens
-
-
-@dataclass(frozen=True)
-class CanonicalForm:
-    """Relabeling-invariant key: equal exactly for isomorphic graphs."""
-
-    key: bytes
-    order: tuple[int, ...]
-    generators: tuple[tuple[int, ...], ...]
-
-
-def canonical_labeling(g: Graph) -> CanonicalForm:
-    key, order, gens = canon_raw(g.n, g.adj)
-    return CanonicalForm(key, order, tuple(gens))
 
 
 def canonical_form(g: Graph) -> bytes:

@@ -57,10 +57,6 @@ class EdgeColoring:
                 vals[pair_index(u, v)] = fn(u, v)
         return cls(n, m, bytes(vals))
 
-    @classmethod
-    def constant(cls, n: int, m: int = 1, color: int = 0) -> "EdgeColoring":
-        return cls(n, m, bytes([color] * (n * (n - 1) // 2)))
-
 
 def color_class(c: EdgeColoring, i: int) -> Graph:
     """The graph on c.n vertices whose edges are the pairs colored ``i``."""
@@ -75,16 +71,6 @@ def color_class(c: EdgeColoring, i: int) -> Graph:
                 rows[v] |= 1 << u
             idx += 1
     return Graph(c.n, tuple(rows))
-
-
-def delete_coloring_vertex(c: EdgeColoring, v: int) -> EdgeColoring:
-    """The coloring induced by removing vertex ``v`` (labels shift down)."""
-    keep = [u for u in range(c.n) if u != v]
-
-    def fn(a: int, b: int) -> int:
-        return c.color_of(keep[a], keep[b])
-
-    return EdgeColoring.from_function(c.n - 1, c.m, fn)
 
 
 def parse_coloring_matrix(text: str) -> EdgeColoring:
@@ -120,10 +106,15 @@ def parse_coloring_matrix(text: str) -> EdgeColoring:
     return EdgeColoring.from_function(n, maxc, lambda u, v: grid[u][v] - 1)
 
 
-def emit_coloring_matrix(c: EdgeColoring) -> str:
-    """Inverse of :func:`parse_coloring_matrix`: single spaces, row per line."""
+def matrix_text(n: int, entry) -> str:
+    """n x n text with 0 on the diagonal and ``entry(u, v)`` off it: single
+    spaces, a row per line."""
     lines = []
-    for u in range(c.n):
-        row = ["0" if u == v else str(c.color_of(u, v) + 1) for v in range(c.n)]
-        lines.append(" ".join(row))
+    for u in range(n):
+        lines.append(" ".join("0" if u == v else str(entry(u, v)) for v in range(n)))
     return "\n".join(lines) + "\n"
+
+
+def emit_coloring_matrix(c: EdgeColoring) -> str:
+    """Inverse of :func:`parse_coloring_matrix`."""
+    return matrix_text(c.n, lambda u, v: c.color_of(u, v) + 1)

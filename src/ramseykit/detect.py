@@ -36,7 +36,6 @@ class CopyList:
     copy means ``edges[i]``, and ``edges`` is the host's sorted ``g.edges()``.
     Copies are in the lexicographic order of their sorted edge tuples."""
 
-    target: Target
     edges: tuple[Edge, ...]
     copies: tuple[int, ...]
 
@@ -207,7 +206,7 @@ def list_copies(g: Graph, t: Target) -> CopyList:
     # Copies of one target have equal edge counts, so the earlier of two in
     # sorted-edge order holds the lowest bit of A ^ B: it reads larger low bit first.
     copies.sort(key=lambda c: format(c, "b")[::-1], reverse=True)
-    return CopyList(t, edges, tuple(copies))
+    return CopyList(edges, tuple(copies))
 
 
 def critical_sets(adj: Sequence[int], n: int, t: Target) -> list[int]:

@@ -88,32 +88,11 @@ class Graph:
             raise ValueError("a cycle needs at least 3 vertices")
         return cls.from_edges(n, [(v, (v + 1) % n) for v in range(n)])
 
-    @classmethod
-    def path(cls, n: int) -> "Graph":
-        return cls.from_edges(n, [(v, v + 1) for v in range(n - 1)])
-
 
 def complement(g: Graph) -> Graph:
     """The graph with edge {u,v} exactly where ``g`` has none."""
     full = (1 << g.n) - 1
     return Graph(g.n, tuple((full ^ row ^ (1 << v)) for v, row in enumerate(g.adj)))
-
-
-def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
-    """Subgraph induced by ``vertices``, relabeled 0..k-1 in increasing order."""
-    keep = sorted(set(vertices))
-    for v in keep:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} not in graph of order {g.n}")
-    pos = {v: i for i, v in enumerate(keep)}
-    rows = [0] * len(keep)
-    for v in keep:
-        row = 0
-        for u in iter_bits(g.adj[v]):
-            if u in pos:
-                row |= 1 << pos[u]
-        rows[pos[v]] = row
-    return Graph(len(keep), tuple(rows))
 
 
 def relabel_rows(n: int, adj: Sequence[int], order: Sequence[int]) -> tuple[int, ...]:
@@ -131,26 +110,3 @@ def relabel_rows(n: int, adj: Sequence[int], order: Sequence[int]) -> tuple[int,
             row |= 1 << pos[u]
         rows[i] = row
     return tuple(rows)
-
-
-def relabel(g: Graph, order: tuple[int, ...]) -> Graph:
-    """Relabel so the vertex ``order[i]`` becomes vertex ``i``."""
-    if sorted(order) != list(range(g.n)):
-        raise ValueError("order must be a permutation of the vertices")
-    return Graph(g.n, relabel_rows(g.n, g.adj, order))
-
-
-def add_vertex(g: Graph, neighborhood: int) -> Graph:
-    """Append a new last vertex adjacent to the bitmask ``neighborhood``."""
-    if neighborhood & ~((1 << g.n) - 1):
-        raise ValueError("neighborhood mentions vertices outside the graph")
-    z = g.n
-    bit = 1 << z
-    rows = tuple(
-        (row | bit) if (neighborhood >> v) & 1 else row for v, row in enumerate(g.adj)
-    )
-    return Graph(g.n + 1, rows + (neighborhood,))
-
-
-def delete_vertex(g: Graph, v: int) -> Graph:
-    return induced_subgraph(g, [u for u in range(g.n) if u != v])

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .canon import canon_raw
-from .coloring import EdgeColoring
+from .coloring import EdgeColoring, matrix_text
 from .detect import list_copies
 from .graphs import Graph, complement, iter_bits
 from .sat import CnfFormula, sat_solve
@@ -263,17 +263,7 @@ def witness_matrix(witness: SplitWitness) -> str:
     no edge (and on the diagonal). For complete hosts this is exactly the
     coloring-matrix format."""
     wit = witness.as_dict()
-    lines = []
-    for u in range(witness.n):
-        row = []
-        for v in range(witness.n):
-            if u == v:
-                row.append("0")
-            else:
-                e = (u, v) if u < v else (v, u)
-                row.append(str(wit[e] + 1) if e in wit else "0")
-        lines.append(" ".join(row))
-    return "\n".join(lines) + "\n"
+    return matrix_text(witness.n, lambda u, v: wit.get((min(u, v), max(u, v)), -1) + 1)
 
 
 def compose_coloring(red: Graph, witness: SplitWitness) -> EdgeColoring:

@@ -46,8 +46,7 @@ def naive_extensions(g: Graph, t1: Target, t2: Target) -> set[int]:
     n = g.n
     found = set()
     for s in range(1 << n):
-        edges = g.edges() + [(v, n) for v in range(n) if (s >> v) & 1]
-        child = Graph.from_edges(n + 1, edges)
+        child = with_vertex(g, s)
         if naive_copies(child, t1):
             continue
         missing = [
@@ -179,6 +178,28 @@ def random_graph(rng, n: int, p: float = 0.5) -> Graph:
             for v in range(u + 1, n)
             if rng.random() < p
         ],
+    )
+
+
+def relabeled(g: Graph, order) -> Graph:
+    """``g`` with the vertex ``order[i]`` renamed i, edge by edge."""
+    assert sorted(order) == list(range(g.n))
+    pos = {v: i for i, v in enumerate(order)}
+    return Graph.from_edges(g.n, [(pos[u], pos[v]) for u, v in g.edges()])
+
+
+def with_vertex(g: Graph, s: int) -> Graph:
+    """``g`` plus a last vertex joined to the vertices in the bitmask ``s``."""
+    assert s >> g.n == 0
+    return Graph.from_edges(
+        g.n + 1, g.edges() + [(v, g.n) for v in range(g.n) if s >> v & 1]
+    )
+
+
+def without_vertex(g: Graph, x: int) -> Graph:
+    """``g`` less the vertex x, the vertices after it shifted down by one."""
+    return Graph.from_edges(
+        g.n - 1, [(u - (u > x), v - (v > x)) for u, v in g.edges() if x not in (u, v)]
     )
 
 

@@ -13,7 +13,7 @@ from oracles import brute_splittable_2
 from ramseykit import split, targets
 from ramseykit.anneal import anneal_search
 from ramseykit.canon import canonical_form
-from ramseykit.coloring import EdgeColoring, delete_coloring_vertex
+from ramseykit.coloring import EdgeColoring
 from ramseykit.constructions import (
     clone_vertex,
     is_strongly_regular,
@@ -83,6 +83,14 @@ def test_criterion_3_j7_arrowing():
         and "R(K3e,J4) = 7 by enumeration: ok" in text
     )
     report(3, "J7 arrows (K3e,J4) over all 2^20 colorings; R(K3e,J4)=7", ok)
+
+
+@pytest.mark.parametrize("t1", [K3E, K3], ids=["K3e", "K3"])
+def test_criterion_3_j7_refutations_are_proof_checked(checked_split, t1):
+    # J7 arrows (K3e, J4), hence (K3, J4) too: the SAT engine's refutations
+    # of both splits, checked against the solver's DRUP log
+    ok, broken = checked_split(J7.pattern(), t1, J4)
+    assert not ok and broken == 11
 
 
 def test_criterion_4_figures():
@@ -195,7 +203,10 @@ def test_criterion_8_clone_vertex():
     triangle = [grown.color_of(0, 1), grown.color_of(0, 3), grown.color_of(1, 3)]
     ok = grown.n == 4 and triangle == [1, 1, 1]
     ok = ok and grown.color_of(2, 3) == c.color_of(0, 2)
-    ok = ok and delete_coloring_vertex(grown, 3) == c
+    ok = ok and grown.m == c.m
+    ok = ok and all(
+        grown.color_of(u, v) == c.color_of(u, v) for v in range(3) for u in range(v)
+    )
     report(8, "clone_vertex toy example and round-trip", ok)
 
 

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from oracles import naive_copies, random_graph
+from oracles import naive_copies, random_graph, with_vertex
 from ramseykit import anneal, targets
 from ramseykit.anneal import (
     AnnealParams,
@@ -15,7 +15,7 @@ from ramseykit.anneal import (
 from ramseykit.coloring import EdgeColoring, color_class, emit_coloring_matrix
 from ramseykit.constructions import figure_coloring
 from ramseykit.detect import coloring_is_valid
-from ramseykit.graphs import Graph, add_vertex
+from ramseykit.graphs import Graph
 
 K3 = targets.clique(3)
 K4 = targets.clique(4)
@@ -48,7 +48,7 @@ def test_energy_of_figure4_is_zero():
 
 
 def test_energy_of_monochromatic_triangle():
-    assert energy(EdgeColoring.constant(3), [K3]) == 1
+    assert energy(EdgeColoring(3, 1, bytes(3)), [K3]) == 1
 
 
 def test_every_two_coloring_of_k6_has_energy():
@@ -111,7 +111,7 @@ def test_edge_copy_counts_on_empty_full_and_deep_walks(t):
     # next to a clique
     bipartite = Graph.from_edges(7, [(u, v) for u in range(3) for v in range(3, 7)])
     assert edge_counts_match_naive(bipartite, t) == 0
-    edge_counts_match_naive(add_vertex(Graph.complete(7), 0b1), t)
+    edge_counts_match_naive(with_vertex(Graph.complete(7), 0b1), t)
     # a complete color class: C is every other vertex
     assert edge_counts_match_naive(Graph.complete(8), t) > 0
     # dense random hosts, where the J5, J6 and J7 walks go below one loop

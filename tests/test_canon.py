@@ -1,20 +1,26 @@
 import hashlib
 import random
 
-from oracles import all_graphs, brute_automorphisms, brute_isomorphic, random_graph
-from ramseykit.canon import are_isomorphic, canon_raw, canonical_form, canonical_labeling
+from oracles import (
+    all_graphs,
+    brute_automorphisms,
+    brute_isomorphic,
+    random_graph,
+    relabeled,
+)
+from ramseykit.canon import are_isomorphic, canon_raw, canonical_form
 from ramseykit.constructions import two_k3
-from ramseykit.graphs import Graph, relabel
+from ramseykit.graphs import Graph
 
 
 def test_relabeling_invariance_c5():
     c5 = Graph.cycle(5)
     for order in [(1, 2, 3, 4, 0), (4, 2, 0, 3, 1), (0, 2, 4, 1, 3)]:
-        assert canonical_form(relabel(c5, order)) == canonical_form(c5)
+        assert canonical_form(relabeled(c5, order)) == canonical_form(c5)
 
 
 def test_different_degree_sequences_differ():
-    p4 = Graph.path(4)
+    p4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
     k3_plus_isolated = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2)])
     assert canonical_form(p4) != canonical_form(k3_plus_isolated)
 
@@ -48,7 +54,7 @@ def test_agrees_with_permutation_oracle():
         assert are_isomorphic(g, h) == brute_isomorphic(g, h)
         perm = list(range(n))
         rng.shuffle(perm)
-        assert are_isomorphic(g, relabel(g, tuple(perm)))
+        assert are_isomorphic(g, relabeled(g, perm))
 
 
 def test_canonical_form_is_stable():
@@ -60,8 +66,8 @@ def test_canonical_form_is_stable():
 
 def test_generators_are_automorphisms():
     for g in [Graph.cycle(6), Graph.complete(5), two_k3(), Graph.empty(7)]:
-        res = canonical_labeling(g)
-        for gen in res.generators:
+        _, _, gens = canon_raw(g.n, g.adj)
+        for gen in gens:
             for u in range(g.n):
                 for v in range(u + 1, g.n):
                     assert g.has_edge(u, v) == g.has_edge(gen[u], gen[v])
@@ -80,7 +86,7 @@ def test_highly_symmetric_graphs_terminate_quickly():
         Graph.from_edges(12, [(2 * i, 2 * i + 1) for i in range(6)]),
     ]:
         key1 = canonical_form(g)
-        key2 = canonical_form(relabel(g, tuple(reversed(range(g.n)))))
+        key2 = canonical_form(relabeled(g, list(reversed(range(g.n)))))
         assert key1 == key2
 
 
@@ -136,7 +142,7 @@ def complete_multipartite(sizes):
 def shuffled(rng, g):
     order = list(range(g.n))
     rng.shuffle(order)
-    return relabel(g, tuple(order))
+    return relabeled(g, order)
 
 
 def with_twins(rng, g):

@@ -70,7 +70,7 @@ def test_color_classes_partition_the_complete_graph(c):
 
 
 def test_color_class_of_one_coloring_is_complete():
-    c = EdgeColoring.constant(6)
+    c = EdgeColoring(6, 1, bytes(15))
     from ramseykit.graphs import Graph
 
     assert color_class(c, 0) == Graph.complete(6)

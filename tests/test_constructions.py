@@ -6,10 +6,7 @@ import pytest
 
 from ramseykit import targets
 from ramseykit.canon import are_isomorphic
-from ramseykit.coloring import (
-    EdgeColoring,
-    delete_coloring_vertex,
-)
+from ramseykit.coloring import EdgeColoring
 from ramseykit.constructions import (
     clone_vertex,
     figure_coloring,
@@ -107,7 +104,8 @@ def test_clone_then_delete_restores_original():
     c = EdgeColoring.from_function(n, m, fixed)
     grown = clone_vertex(c, 1, 4, 2)
     assert grown.n == n + 1
-    assert delete_coloring_vertex(grown, n) == c
+    assert grown.m == c.m
+    assert all(grown.color_of(u, v) == c.color_of(u, v) for v in range(n) for u in range(v))
 
 
 def test_clone_vertex_names_first_differing_vertex():
@@ -167,7 +165,7 @@ def test_verify_c51_reports_isolated_yellow_triangle():
 
 def test_verify_c51_requires_four_colors():
     with pytest.raises(ValueError, match="4-coloring"):
-        verify_c51(EdgeColoring.constant(5, 2, 0))
+        verify_c51(EdgeColoring(5, 2, bytes(10)))
 
 
 def twin_pair_four_coloring():

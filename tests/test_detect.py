@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from oracles import all_graphs, naive_copies, random_graph
+from oracles import all_graphs, naive_copies, random_graph, with_vertex
 from ramseykit import targets
 from ramseykit.coloring import EdgeColoring, color_class
 from ramseykit.constructions import figure_coloring, two_k3
@@ -15,7 +15,7 @@ from ramseykit.detect import (
     is_good,
     list_copies,
 )
-from ramseykit.graphs import Graph, add_vertex
+from ramseykit.graphs import Graph
 
 K3 = targets.clique(3)
 K4 = targets.clique(4)
@@ -118,7 +118,7 @@ def test_critical_sets_are_the_minimal_completing_sets():
         g = random_graph(rng, rng.randint(1, 5), rng.random())
         for t in ALL_TARGETS:
             completing = [
-                s for s in range(1 << g.n) if naive_copies(add_vertex(g, s), t)
+                s for s in range(1 << g.n) if naive_copies(with_vertex(g, s), t)
             ]
             minimal = [
                 s for s in completing
@@ -149,7 +149,7 @@ def test_triangle_with_attached_edge_gives_pendant():
     # a triangle plus any incident edge to a fourth vertex holds K3+e
     g = Graph.from_edges(5, [(0, 1), (0, 2), (1, 2)])
     assert not contains(g, K3E)
-    assert contains(add_vertex(g, 0b001), K3E)
+    assert contains(with_vertex(g, 0b001), K3E)
     h = Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (2, 4)])
     assert contains(h, K3E)
 
@@ -187,7 +187,7 @@ def test_coloring_is_valid_checks_color_i_against_target_i():
 
 
 def test_coloring_is_valid_reports_witness():
-    mono = EdgeColoring.constant(6, 3, 0)
+    mono = EdgeColoring(6, 3, bytes(15))
     verdict = coloring_is_valid(mono, [K3, K3, K3])
     assert not verdict.valid
     assert verdict.witness_color == 0
@@ -198,4 +198,4 @@ def test_coloring_is_valid_reports_witness():
 
 def test_coloring_is_valid_checks_target_count():
     with pytest.raises(ValueError):
-        coloring_is_valid(EdgeColoring.constant(4, 2, 0), [K3])
+        coloring_is_valid(EdgeColoring(4, 2, bytes(6)), [K3])

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from oracles import all_graphs, naive_extensions
+from oracles import all_graphs, naive_extensions, relabeled, without_vertex
 from ramseykit import targets
 from ramseykit.canon import canonical_form
 from ramseykit.detect import is_good
@@ -12,7 +12,7 @@ from ramseykit.enumeration import (
     enumerate_good,
     extend_level,
 )
-from ramseykit.graphs import Graph, delete_vertex, relabel
+from ramseykit.graphs import Graph
 
 K3 = targets.clique(3)
 J4 = targets.clique_minus_edge(4)
@@ -111,7 +111,7 @@ def test_parents_extend_alike_in_any_labeling(pair, order):
     for _ in range(order - 1):
         level = extend_level(level, t1, t2)
     rng = random.Random(order)
-    shuffled = [relabel(g, tuple(rng.sample(range(g.n), g.n))) for g in level]
+    shuffled = [relabeled(g, rng.sample(range(g.n), g.n)) for g in level]
     assert shuffled != level
     assert extend_level(shuffled, t1, t2) == extend_level(level, t1, t2)
 
@@ -153,7 +153,7 @@ def test_emitted_graphs_are_good_and_hereditary():
         level = extend_level(level, K3, J7)
         for g in level:
             assert is_good(g, K3, J7)
-            dropped = {canonical_form(delete_vertex(g, v)) for v in range(g.n)}
+            dropped = {canonical_form(without_vertex(g, v)) for v in range(g.n)}
             assert dropped <= prev
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .graphs import Graph, iter_bits, relabel_rows
+from .graphs import Graph, iter_bits
 
 
 def _refine(adj: tuple[int, ...], cells: list[int], queue: list[int]) -> list[int]:
@@ -246,7 +246,3 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
     if g.n != h.n or g.edge_count != h.edge_count:
         return False
     return canonical_form(g) == canonical_form(h)
-
-
-# rows with canonical position i as vertex i, given canon_raw's ``order``
-relabel_canonical = relabel_rows

@@ -18,7 +18,7 @@ from itertools import chain, islice
 
 from . import __version__
 from .anneal import AnnealParams, anneal_search
-from .canon import canon_raw
+from .canon import canonical_form
 from .coloring import emit_coloring_matrix, parse_coloring_matrix
 from .constructions import clone_vertex, extend_by_clone, named_graph
 from .enumeration import EnumerationLimitError, enumerate_good
@@ -72,7 +72,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _split_one(g, targets, engine, max_conflicts):
-    key = canon_raw(g.n, g.adj)[0]
+    key = canonical_form(g)
     ok, _ = is_splittable(g, targets, engine=engine, max_conflicts=max_conflicts)
     return key.hex(), ok
 

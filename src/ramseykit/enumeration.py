@@ -20,7 +20,9 @@ orbit of its canonical deletion vertex: the vertex with the largest
 (degree, sum of neighbour degrees), ties going to the lowest canonical
 position. A child whose new vertex does not have the largest invariant is
 dropped before it is built or labeled; for the rest, the labeling that
-gives the canonical key also decides the orbit test.
+gives the canonical key also decides the orbit test. Both tests work in
+any labels, so a class travels in the labels it was found in and is
+relabeled into canonical order once, when the enumerator emits it.
 """
 
 from __future__ import annotations
@@ -28,12 +30,12 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import partial
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
-from .canon import canon_raw, orbit_closure, relabel_canonical
+from .canon import canon_raw, orbit_closure
 from .detect import critical_sets
 from .graph6 import write_graph6
-from .graphs import Graph, iter_bits
+from .graphs import Graph, iter_bits, relabel_rows as relabel_canonical
 from .targets import Target
 
 _ORBIT_CAP = 4096
@@ -148,20 +150,16 @@ def _orbit_min(s: int, gens: Sequence[tuple[int, ...]]) -> bool:
 
 @dataclass(frozen=True)
 class _ClassRec:
-    """A canonical class representative plus its automorphism generators."""
+    """A class in the labels it was found in, with canon_raw's labeling and gens."""
 
     adj: tuple[int, ...]
+    order: tuple[int, ...]
     gens: tuple[tuple[int, ...], ...]
 
 
-def _translate_gens(
-    order: tuple[int, ...], gens: Iterable[tuple[int, ...]]
-) -> tuple[tuple[int, ...], ...]:
-    n = len(order)
-    pos = [0] * n
-    for i, v in enumerate(order):
-        pos[v] = i
-    return tuple(tuple(pos[g[order[i]]] for i in range(n)) for g in gens)
+def _canonical_graph(rec: _ClassRec) -> Graph:
+    n = len(rec.adj)
+    return Graph(n, relabel_canonical(n, rec.adj, rec.order))
 
 
 def _new_vertex_ties(
@@ -221,8 +219,7 @@ def _extend_records(
                 if m != n and n not in orbit_closure([m], gens):
                     continue
             if key not in out:
-                canon_adj = relabel_canonical(n + 1, child, order)
-                out[key] = _ClassRec(canon_adj, _translate_gens(order, gens))
+                out[key] = _ClassRec(child, order, tuple(gens))
     return out
 
 
@@ -252,10 +249,12 @@ def extend_level(level: Sequence[Graph], t1: Target, t2: Target) -> list[Graph]:
     lies in that subset: the whole level gives the whole next level, and
     disjoint chunks of it give disjoint parts of the next level.
     """
-    # each parent in its own labels, with automorphism generators over them
-    records = [_ClassRec(g.adj, tuple(canon_raw(g.n, g.adj)[2])) for g in level]
+    records = []
+    for g in level:
+        _, order, gens = canon_raw(g.n, g.adj)
+        records.append(_ClassRec(g.adj, order, tuple(gens)))
     out = _extend_records(records, t1, t2)
-    return [Graph(len(r.adj), r.adj) for _, r in sorted(out.items())]
+    return [_canonical_graph(r) for _, r in sorted(out.items())]
 
 
 def enumerate_good(
@@ -278,9 +277,7 @@ def enumerate_good(
     stats = EnumerationStats(t1, t2, [])
     if n_max < 1:
         return stats
-    level: dict[bytes, _ClassRec] = {
-        canon_raw(1, (0,))[0]: _ClassRec((0,), ())
-    }
+    level = {canon_raw(1, (0,))[0]: _ClassRec((0,), (0,), ())}
     for order in range(1, n_max + 1):
         if order > 1 and level:
             level = _extend_parallel(
@@ -315,5 +312,5 @@ def _write_archive(
     os.makedirs(emit_dir, exist_ok=True)
     path = os.path.join(emit_dir, archive_filename(t1, t2, order))
     with open(path, "w", encoding="ascii") as fh:
-        graphs = (Graph(len(rec.adj), rec.adj) for _, rec in sorted(level.items()))
+        graphs = (_canonical_graph(rec) for _, rec in sorted(level.items()))
         write_graph6(fh, graphs)

@@ -98,7 +98,7 @@ def complement(g: Graph) -> Graph:
 def relabel_rows(n: int, adj: Sequence[int], order: Sequence[int]) -> tuple[int, ...]:
     """Adjacency rows rewritten so the vertex ``order[i]`` becomes vertex ``i``.
 
-    No validation: enumeration relabels raw bitsets on its hot path.
+    No validation: enumeration relabels the raw bitsets it built itself.
     """
     pos = [0] * n
     for i, v in enumerate(order):

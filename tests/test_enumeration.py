@@ -1,14 +1,18 @@
+import hashlib
 import random
 
 import pytest
 
 from oracles import all_graphs, naive_extensions, relabeled, without_vertex
-from ramseykit import targets
-from ramseykit.canon import canonical_form
+from ramseykit import enumeration, targets
+from ramseykit.canon import canon_raw, canonical_form
 from ramseykit.detect import is_good
 from ramseykit.enumeration import (
     EnumerationLimitError,
+    _ClassRec,
+    _extend_records,
     _extensions,
+    archive_filename,
     enumerate_good,
     extend_level,
 )
@@ -186,8 +190,74 @@ def test_class_limit_raises_resource_error_with_partial_stats():
     assert [r.count for r in rows] == [1, 2, 3, 7]
 
 
-def test_jobs_do_not_change_the_result():
-    # level 7 has 105 classes, enough to engage the process pool for 7 -> 8
-    serial = enumerate_good(K3, J7, 8, jobs=1)
-    parallel = enumerate_good(K3, J7, 8, jobs=2)
+def archive_digest(t1, t2, n, emit_dir, jobs=1):
+    """sha256 (first 16 hex digits) of the archives of orders 1..n, in order."""
+    enumerate_good(t1, t2, n, emit_dir=str(emit_dir), jobs=jobs)
+    h = hashlib.sha256()
+    for k in range(1, n + 1):
+        h.update((emit_dir / archive_filename(t1, t2, k)).read_bytes())
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize(
+    "pair, n, digest",
+    [
+        ("K3,J7", 9, "147a9c233e043712"),
+        ("K3e,J4", 7, "eed17e093cf89f94"),
+        ("J4,J5", 8, "18c486d857b37d03"),
+        ("K4,K4", 8, "1069b70bd4d03c0b"),
+        ("C5,K4", 8, "e467b914a9fb2084"),
+        ("K3,K5mP3", 8, "eaae86c12a5529bd"),
+    ],
+)
+def test_archive_bytes_are_pinned(pair, n, digest, tmp_path):
+    # canonical representatives sorted by key: the bytes depend on no labeling
+    t1, t2 = targets.parse_target_list(pair)
+    assert archive_digest(t1, t2, n, tmp_path) == digest
+
+
+def test_jobs_do_not_change_the_result(tmp_path):
+    # levels 7 and 8 (105 and 392 classes) engage the process pool
+    serial = enumerate_good(K3, J7, 9, jobs=1)
+    parallel = enumerate_good(K3, J7, 9, jobs=2)
     assert serial.as_tsv() == parallel.as_tsv()
+    assert archive_digest(K3, J7, 9, tmp_path / "serial", jobs=1) == archive_digest(
+        K3, J7, 9, tmp_path / "parallel", jobs=2
+    )
+
+
+def test_only_emitted_classes_are_relabeled(monkeypatch, tmp_path):
+    calls = []
+    relabel = enumeration.relabel_canonical
+
+    def counted(*args):
+        calls.append(args)
+        return relabel(*args)
+
+    monkeypatch.setattr(enumeration, "relabel_canonical", counted)
+    stats = enumerate_good(K3, J7, 8)
+    assert calls == []
+    enumerate_good(K3, J7, 8, emit_dir=str(tmp_path))
+    assert len(calls) == sum(row.count for row in stats.levels) == 562
+    level = [Graph.empty(1)]
+    for _ in range(4):
+        del calls[:]
+        level = extend_level(level, K3, J7)
+        assert len(calls) == len(level)
+
+
+@pytest.mark.parametrize("pair, n", [("K3,J7", 8), ("K4,K4", 7)])
+def test_records_carry_generators_over_their_own_labels(pair, n):
+    # the orbit test reads gens against adj, so both must share one labeling
+    t1, t2 = targets.parse_target_list(pair)
+    level = {canonical_form(Graph.empty(1)): _ClassRec((0,), (0,), ())}
+    checked = 0
+    for _ in range(n - 1):
+        level = _extend_records([rec for _, rec in sorted(level.items())], t1, t2)
+        for key, rec in level.items():
+            g = Graph(len(rec.adj), rec.adj)
+            assert canon_raw(g.n, g.adj)[:2] == (key, rec.order)
+            for perm in rec.gens:
+                assert relabeled(g, perm) == g
+            checked += len(rec.gens)
+    assert checked > 500

@@ -72,8 +72,13 @@ def _cmd_enumerate(args) -> int:
 
 
 def _split_one(g, targets, engine, max_conflicts):
+    """(canonical key in hex, verdict); the verdict is the budget error when
+    the host overran its conflict budget, so the later hosts still run."""
     key = canonical_form(g)
-    ok, _ = is_splittable(g, targets, engine=engine, max_conflicts=max_conflicts)
+    try:
+        ok, _ = is_splittable(g, targets, engine=engine, max_conflicts=max_conflicts)
+    except BudgetExceededError as exc:
+        return key.hex(), exc
     return key.hex(), ok
 
 
@@ -94,8 +99,16 @@ def _cmd_split(args) -> int:
             import multiprocessing as mp
 
             verdicts = stack.enter_context(mp.Pool(args.jobs)).imap(solve, hosts)
-        for key_hex, ok in verdicts:
-            print(f"{key_hex} {'SPLITTABLE' if ok else 'UNSPLITTABLE'}", flush=True)
+        overrun = None
+        for key_hex, verdict in verdicts:
+            if isinstance(verdict, BudgetExceededError):
+                overrun = overrun or verdict
+                word = "UNKNOWN"
+            else:
+                word = "SPLITTABLE" if verdict else "UNSPLITTABLE"
+            print(f"{key_hex} {word}", flush=True)
+    if overrun is not None:
+        raise overrun  # exit 3 once every host has its line
     return EXIT_OK
 
 

@@ -17,11 +17,18 @@ HEADER = ">>graph6<<"
 
 
 class Graph6FormatError(ValueError):
-    """Malformed graph6 data; ``offset`` is the failing byte position."""
+    """Malformed graph6 data; ``offset`` is the failing byte position.
+
+    ``args`` holds both constructor arguments, so the error survives a
+    pickle round trip (a worker process hands it back to its parent)."""
 
     def __init__(self, message: str, offset: int) -> None:
-        super().__init__(f"{message} (byte offset {offset})")
+        super().__init__(message, offset)
         self.offset = offset
+
+    def __str__(self) -> str:
+        message, offset = self.args
+        return f"{message} (byte offset {offset})"
 
 
 def emit_graph6(g: Graph) -> str:

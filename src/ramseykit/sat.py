@@ -12,7 +12,13 @@ Inside the solver, CNF variable v + 1 is variable v, with literals 2v
 as in MiniSat (Een & Sorensson 2003, "An Extensible SAT-solver"): both
 polarities are set on assignment and cleared on backtrack, so propagation
 reads a literal's value with one index, and variable v's value is the byte
-of literal 2v."""
+of literal 2v.
+
+Propagation looks for a clause's replacement watch among positions 2 to
+len(c) - 1, in order. Each solver keeps those positions in a table ``tail``,
+with ``tail[k] == tuple(range(2, k))``, grown to the longest clause it holds
+(input clauses at construction, learnt clauses as they are added), so a scan
+builds no object and visits the positions in the same order as a ``range``."""
 
 from __future__ import annotations
 
@@ -106,6 +112,7 @@ class _Cdcl:
         self.activity = [0.0] * nvars
         self.act_inc = 1.0
         self.unsat_root = False
+        self.tail: list[tuple[int, ...]] = [(), (), ()]  # tail[k] == tuple(range(2, k))
         units: list[int] = []
         for cl in clauses:
             litset = {2 * (abs(l) - 1) + (l < 0) for l in cl}
@@ -118,12 +125,18 @@ class _Cdcl:
             self.clauses.append(lits)
             self.watches[lits[0]].append(lits)
             self.watches[lits[1]].append(lits)
+        self._grow_tail(max(map(len, self.clauses), default=0))
         for lit in units:
             if self.val[lit] == _FALSE:
                 self.unsat_root = True
                 return
             if self.val[lit] == _UNSET:
                 self._enqueue(lit, None)
+
+    def _grow_tail(self, longest: int) -> None:
+        tail = self.tail
+        while len(tail) <= longest:
+            tail.append(tail[-1] + (len(tail) - 1,))
 
     def _enqueue(self, lit: int, reason: list[int] | None) -> None:
         var = lit >> 1
@@ -136,7 +149,7 @@ class _Cdcl:
 
     def _propagate(self) -> list[int] | None:
         trail, watches, val = self.trail, self.watches, self.val
-        phase, level, reason = self.phase, self.level, self.reason
+        phase, level, reason, tail = self.phase, self.level, self.reason, self.tail
         true, false = _TRUE, _FALSE
         cur_level = len(self.trail_lim)
         qhead = self.qhead
@@ -155,7 +168,7 @@ class _Cdcl:
                 if val[first] == true:
                     keep.append(c)
                     continue
-                for j in range(2, len(c)):
+                for j in tail[len(c)]:
                     lit = c[j]
                     if val[lit] != false:
                         c[1] = lit
@@ -302,6 +315,7 @@ class _Cdcl:
                 else:
                     self.learnts.append(learnt)
                     self.lbd.append(lbd)
+                    self._grow_tail(len(learnt))
                     self.watches[learnt[0]].append(learnt)
                     self.watches[learnt[1]].append(learnt)
                     self._enqueue(learnt[0], learnt)

@@ -17,7 +17,7 @@ from ramseykit.graphs import Graph
 SRC = str(Path(ramseykit.__file__).resolve().parent.parent)
 
 
-def run_cli(args, stdin=""):
+def run_cli(args, stdin="", timeout=600):
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
     proc = subprocess.run(
@@ -25,7 +25,7 @@ def run_cli(args, stdin=""):
         input=stdin,
         capture_output=True,
         text=True,
-        timeout=600,
+        timeout=timeout,
         env=env,
     )
     return proc
@@ -231,6 +231,10 @@ def test_verify_split_pipeline_cli(tmp_path):
 BUDGET_ERROR = "resource error: conflict budget 1 exhausted\n"
 
 
+def key_hex(g):
+    return canon_raw(g.n, g.adj)[0].hex()
+
+
 @pytest.mark.parametrize("command", ["arrow", "split", "verify"])
 def test_conflict_budget_exits_3_with_empty_stdout(command, tmp_path):
     from ramseykit.targets import clique_minus_edge
@@ -243,7 +247,9 @@ def test_conflict_budget_exits_3_with_empty_stdout(command, tmp_path):
         "verify": ["verify", "schlafli"],
     }[command]
     proc = run_cli(argv + ["--max-conflicts", "1"])
-    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", BUDGET_ERROR)
+    # split gives the overrun host an UNKNOWN line; the others print nothing
+    out = f"{key_hex(clique_minus_edge(7).pattern())} UNKNOWN\n" if command == "split" else ""
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, out, BUDGET_ERROR)
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -254,8 +260,35 @@ def test_split_budget_overrun_keeps_the_finished_verdicts(jobs):
     stdin = "".join(emit_graph6(g) + "\n" for g in hosts)
     argv = ["split", "--targets", "K3e,J4", "--max-conflicts", "1", "--jobs", jobs]
     proc = run_cli(argv, stdin=stdin)
-    first = f"{canon_raw(3, hosts[0].adj)[0].hex()} SPLITTABLE\n"
-    assert (proc.returncode, proc.stdout, proc.stderr) == (3, first, BUDGET_ERROR)
+    out = f"{key_hex(hosts[0])} SPLITTABLE\n{key_hex(hosts[1])} UNKNOWN\n"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, out, BUDGET_ERROR)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_split_runs_the_hosts_after_an_overrun(jobs):
+    from ramseykit.targets import clique_minus_edge
+
+    hosts = [clique_minus_edge(7).pattern(), Graph.empty(3), clique_minus_edge(7).pattern()]
+    stdin = "".join(emit_graph6(g) + "\n" for g in hosts)
+    argv = ["split", "--targets", "K3e,J4", "--max-conflicts", "1", "--jobs", jobs]
+    proc = run_cli(argv, stdin=stdin, timeout=120)
+    j7, empty = key_hex(hosts[0]), key_hex(hosts[1])
+    out = f"{j7} UNKNOWN\n{empty} SPLITTABLE\n{j7} UNKNOWN\n"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, out, BUDGET_ERROR)
+
+
+def test_split_malformed_line_exits_2_at_any_job_count():
+    # a parse error raised while feeding the pool crosses a process boundary;
+    # the timeout turns a hang into a failure
+    stdin = emit_graph6(Graph.complete(5)) + "\n" + emit_graph6(Graph.complete(6)) + "\nB{\n"
+    runs = [
+        run_cli(["split", "--targets", "K3,K3", "--jobs", jobs], stdin=stdin, timeout=60)
+        for jobs in ("1", "2")
+    ]
+    one, two = [(p.returncode, p.stdout, p.stderr) for p in runs]
+    assert one == two
+    assert one[0] == 2 and one[2] == "error: nonzero padding bits (byte offset 1)\n"
+    assert [line.split()[1] for line in one[1].splitlines()] == ["SPLITTABLE", "UNSPLITTABLE"]
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -77,3 +78,13 @@ def test_nonzero_padding_rejected():
 def test_oversize_marker_rejected():
     with pytest.raises(Graph6FormatError, match="62"):
         parse_graph6("~??")
+
+
+def test_format_error_survives_a_pickle_round_trip():
+    # split --jobs hands a parse error to a pool worker and back
+    with pytest.raises(Graph6FormatError) as exc:
+        parse_graph6("B{")
+    copy = pickle.loads(pickle.dumps(exc.value))
+    assert type(copy) is Graph6FormatError
+    assert (str(copy), copy.offset) == (str(exc.value), exc.value.offset)
+    assert str(copy) == "nonzero padding bits (byte offset 1)"

@@ -38,6 +38,14 @@ def host_formula(text):
     return encode_split_cnf(complement(parse_graph6(text)), K3, J4)
 
 
+def broken_host_formula(text):
+    """The formula ``is_splittable`` solves for a host: the split CNF of its
+    complement under lex-leader symmetry breaking."""
+    g = complement(parse_graph6(text))
+    f = encode_split_cnf(g, K3, J4)
+    return lex_leader_cnf(f, edge_automorphisms(g, f.edges))
+
+
 # Two order-16 (K3, J7)-good hosts: the first one's complement splits into
 # (K3, J4), the second one's does not.
 SPLIT_HOST = "Ohh[dHIQC`cQUPC[CPSGJ"
@@ -180,6 +188,10 @@ def test_models_match_recorded_search_path(build, budget, digest):
         pytest.param(lambda: pigeonhole(7, 6), 846, False, id="pigeonhole(7,6)"),
         pytest.param(lambda: host_formula(SPLIT_HOST), 174, True, id="split-host"),
         pytest.param(lambda: host_formula(UNSPLIT_HOST), 602, False, id="unsplit-host"),
+        pytest.param(lambda: broken_host_formula(SPLIT_HOST), 115, True, id="broken-split-host"),
+        pytest.param(
+            lambda: broken_host_formula(UNSPLIT_HOST), 187, False, id="broken-unsplit-host"
+        ),
     ],
 )
 def test_budget_trips_at_the_recorded_conflict_count(build, conflicts, verdict):
@@ -198,6 +210,18 @@ def random_cnf(rng, family):
         pos = [c for c in combinations(range(1, n + 1), 3) if rng.random() < p]
         neg = [c for c in combinations(range(-n, 0), 5) if rng.random() < q]
         return n, pos + neg
+    if family == "long":
+        # clause lengths 1..n over distinct variables, and some over all n:
+        # the replacement-watch scan runs over every clause length it meets
+        n = rng.randint(1, 12)
+        sign = lambda v: rng.choice((1, -1)) * v
+        clauses = [
+            tuple(sign(v) for v in rng.sample(range(1, n + 1), rng.randint(1, n)))
+            for _ in range(rng.randint(1, 4 * n))
+        ]
+        clauses += [tuple(sign(v) for v in range(1, n + 1)) for _ in range(rng.randint(1, 3))]
+        rng.shuffle(clauses)
+        return n, clauses
     n = rng.randint(1, 12)
     lit = lambda: rng.choice((1, -1)) * rng.randint(1, n)
     clauses = [
@@ -214,7 +238,9 @@ def random_cnf(rng, family):
     return n, clauses
 
 
-@pytest.mark.parametrize("family", ["mixed", "units", "repeats", "tautologies", "copy-like"])
+@pytest.mark.parametrize(
+    "family", ["mixed", "units", "repeats", "tautologies", "copy-like", "long"]
+)
 def test_verdicts_match_brute_force(family):
     rng = random.Random(f"sat-{family}")
     verdicts = set()

@@ -9,7 +9,7 @@ commands.
 
 __version__ = "0.1.0"
 
-from .anneal import AnnealParams, AnnealResult, anneal_search, energy
+from .anneal import AnnealParams, AnnealResult, anneal_search
 from .canon import are_isomorphic, canonical_form
 from .coloring import (
     EdgeColoring,
@@ -24,8 +24,6 @@ from .graph6 import emit_graph6, parse_graph6
 from .graphs import Graph, complement
 from .sat import CnfFormula, sat_solve, write_dimacs
 from .split import (
-    SplitWitness,
-    arrows,
     compose_coloring,
     encode_split_cnf,
     is_splittable,
@@ -50,11 +48,9 @@ __all__ = [
     "EdgeColoring",
     "EnumerationStats",
     "Graph",
-    "SplitWitness",
     "Target",
     "anneal_search",
     "are_isomorphic",
-    "arrows",
     "canonical_form",
     "clique",
     "clique_minus_edge",
@@ -69,7 +65,6 @@ __all__ = [
     "emit_coloring_matrix",
     "emit_graph6",
     "encode_split_cnf",
-    "energy",
     "enumerate_good",
     "extend_level",
     "figure_coloring",

@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .coloring import EdgeColoring, color_class
+from .coloring import EdgeColoring
 from .detect import coloring_is_valid, count_copies, count_copies_with_edge
 from .detect import list_copies  # noqa: F401  (perfbench's tracer wraps it here)
 from .targets import Target
@@ -61,13 +61,6 @@ class AnnealResult:
     @property
     def success(self) -> bool:
         return self.coloring is not None
-
-
-def energy(c: EdgeColoring, targets: Sequence[Target]) -> int:
-    """Monochromatic copies of target i in color class i, summed over i."""
-    if len(targets) != c.m:
-        raise ValueError(f"{len(targets)} targets for an {c.m}-coloring")
-    return sum(count_copies(color_class(c, i).adj, c.n, targets[i]) for i in range(c.m))
 
 
 def _restart_seed(seed: int, restart: int) -> int:

@@ -21,6 +21,11 @@ solver no longer refutes the same subproblem once per symmetric copy.
 :func:`encode_split_cnf` (and the ``cnf`` command) still writes the
 unbroken formula.
 
+Both engines return a split as its color classes: one :class:`Graph` per
+target on the host's vertex set, class i holding the edges of color i.
+:func:`compose_coloring` stacks a red graph under such a split of its
+complement.
+
 The colorer keeps one edge mask per color and, per color, a mask of the
 edges that color may not take: those completing a copy of its target
 whose other edges all carry it already. Coloring an edge never frees such
@@ -29,13 +34,12 @@ an edge, so these masks only grow down a branch and are never undone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .canon import canon_raw
-from .coloring import EdgeColoring, matrix_text
+from .coloring import EdgeColoring, matrix_text, pair_index
 from .detect import list_copies
-from .graphs import Graph, complement, iter_bits
+from .graphs import Graph, iter_bits
 from .sat import CnfFormula, sat_solve
 from .targets import Target
 
@@ -48,21 +52,6 @@ Edge = tuple[int, int]
 # and 6.4-6.9 s at 3 or 8; the Schlafli complement's (J4, J4) split took
 # 0.5 s at 5, 17 s with whole chains and 0.3 s without breaking.
 CHAIN_LENGTH = 5
-
-
-@dataclass(frozen=True)
-class SplitWitness:
-    """Total assignment of a host's edges to colors 0..m-1."""
-
-    n: int
-    m: int
-    colors: tuple[tuple[Edge, int], ...]
-
-    def as_dict(self) -> dict[Edge, int]:
-        return dict(self.colors)
-
-    def color_graph(self, i: int) -> Graph:
-        return Graph.from_edges(self.n, [e for e, c in self.colors if c == i])
 
 
 def encode_split_cnf(g: Graph, t_false: Target, t_true: Target) -> CnfFormula:
@@ -135,12 +124,9 @@ def lex_leader_cnf(f: CnfFormula, perms: Sequence[tuple[int, ...]]) -> CnfFormul
     return out
 
 
-def _witness_from_model(g: Graph, model: Sequence[bool], f: CnfFormula) -> SplitWitness:
-    return SplitWitness(g.n, 2, tuple((e, int(x)) for e, x in zip(f.edges, model)))
-
-
-def recursive_split(g: Graph, targets: Sequence[Target]) -> SplitWitness | None:
-    """Backtracking edge colorer; None exactly when ``g`` arrows the targets.
+def recursive_split(g: Graph, targets: Sequence[Target]) -> tuple[Graph, ...] | None:
+    """Backtracking edge colorer: one color class per target, class i free
+    of target i, or None exactly when ``g`` arrows the targets.
 
     Forward checking with fail-first edge choice (Haralick & Elliott 1980)
     on edge-index bitmasks: ``col[c]`` holds the edges of color c, and
@@ -159,7 +145,7 @@ def recursive_split(g: Graph, targets: Sequence[Target]) -> SplitWitness | None:
     edges = g.edges()
     m = len(targets)
     if not edges:
-        return SplitWitness(g.n, m, ())
+        return (Graph.empty(g.n),) * m
     full = (1 << len(edges)) - 1
     # through[c][i]: the copies of target c that use edge i
     through: list[list[list[int]]] = [[[] for _ in edges] for _ in range(m)]
@@ -210,8 +196,7 @@ def recursive_split(g: Graph, targets: Sequence[Target]) -> SplitWitness | None:
         stack.append([done, forbid, pick(done, forbid), 0])
     else:
         return None
-    colors = [next(c for c in range(m) if col[c] >> i & 1) for i in range(len(edges))]
-    return SplitWitness(g.n, m, tuple(zip(edges, colors)))
+    return tuple(Graph.from_edges(g.n, (edges[i] for i in iter_bits(c))) for c in col)
 
 
 def is_splittable(
@@ -219,8 +204,12 @@ def is_splittable(
     targets: Sequence[Target],
     engine: str = "auto",
     max_conflicts: int | None = None,
-) -> tuple[bool, SplitWitness | None]:
+) -> tuple[bool, tuple[Graph, ...] | None]:
     """Decide splittability; returns (verdict, witness or None).
+
+    A witness is one :class:`Graph` per target on ``g``'s vertices; class i
+    holds the edges of color i, avoids target i, and the classes partition
+    ``g``'s edges. An edgeless ``g`` splits into edgeless classes.
 
     Two targets may use either engine ("sat", "recurse", or "both" to
     cross-check agreement); more colors always recurse. The SAT engine
@@ -228,7 +217,8 @@ def is_splittable(
     plus one lex-leader chain per automorphism generator
     (:func:`lex_leader_cnf`), so ``max_conflicts`` counts the conflicts of
     that broken formula. A witness is read from the edge variables of its
-    model, which is also a model of the unbroken formula.
+    model, which is also a model of the unbroken formula: variable v + 1
+    true puts ``g.edges()[v]`` in class 1, false in class 0.
     """
     if engine not in ("auto", "sat", "recurse", "both"):
         raise ValueError(f"unknown engine {engine!r}")
@@ -240,7 +230,12 @@ def is_splittable(
     f = encode_split_cnf(g, targets[0], targets[1])
     broken = lex_leader_cnf(f, edge_automorphisms(g, f.edges))
     model = sat_solve(broken, max_conflicts=max_conflicts)
-    witness = None if model is None else _witness_from_model(g, model[: f.var_count], f)
+    witness = None
+    if model is not None:
+        halves: tuple[list[Edge], list[Edge]] = ([], [])
+        for e, x in zip(f.edges, model):  # zip stops at the chains' variables
+            halves[x].append(e)
+        witness = tuple(Graph.from_edges(g.n, h) for h in halves)
     if engine == "both":
         other = recursive_split(g, targets)
         if (other is None) != (model is None):
@@ -248,43 +243,41 @@ def is_splittable(
     return (model is not None), witness
 
 
-def arrows(
-    g: Graph,
-    targets: Sequence[Target],
-    engine: str = "auto",
-    max_conflicts: int | None = None,
-) -> bool:
-    """Does every coloring of E(g) produce some target in its color?"""
-    return not is_splittable(g, targets, engine, max_conflicts)[0]
+def witness_matrix(witness: Sequence[Graph]) -> str:
+    """Square matrix for a witness: entry i + 1 where class i holds the
+    pair, zero where the host has no edge (and on the diagonal). For
+    complete hosts this is exactly the coloring-matrix format."""
+
+    def entry(u: int, v: int) -> int:
+        return next((i + 1 for i, h in enumerate(witness) if h.adj[u] >> v & 1), 0)
+
+    return matrix_text(witness[0].n, entry)
 
 
-def witness_matrix(witness: SplitWitness) -> str:
-    """Square matrix for a witness: colors as 1..m, zero where the host has
-    no edge (and on the diagonal). For complete hosts this is exactly the
-    coloring-matrix format."""
-    wit = witness.as_dict()
-    return matrix_text(witness.n, lambda u, v: wit.get((min(u, v), max(u, v)), -1) + 1)
+def compose_coloring(red: Graph, witness: Sequence[Graph]) -> EdgeColoring:
+    """Stack a red graph under a witness split of its complement.
 
-
-def compose_coloring(red: Graph, witness: SplitWitness) -> EdgeColoring:
-    """Merge a red graph with a witness split of its complement.
-
-    Color 0 takes the red edges; witness colors shift up by one. The
-    witness must cover exactly the complement's edges.
+    Color 0 takes the red edges and class i of the witness color i + 1.
+    Together the red graph and the classes must partition the pairs of
+    ``red``'s vertices: each class has ``red.n`` vertices, no pair lies in
+    two of them, and every pair lies in one.
     """
-    comp_edges = set(complement(red).edges())
-    wit = witness.as_dict()
-    if witness.n != red.n or set(wit) != comp_edges:
-        missing = sorted(comp_edges - set(wit))
-        extra = sorted(set(wit) - comp_edges)
-        raise ValueError(
-            f"witness does not match the complement (missing {missing[:3]}, "
-            f"extra {extra[:3]})"
-        )
-
-    def fn(u: int, v: int) -> int:
-        if red.has_edge(u, v):
-            return 0
-        return wit[(u, v) if u < v else (v, u)] + 1
-
-    return EdgeColoring.from_function(red.n, witness.m + 1, fn)
+    n = red.n
+    full = (1 << n) - 1
+    seen = [row | 1 << v for v, row in enumerate(red.adj)]
+    for h in witness:
+        if h.n != n:
+            raise ValueError(
+                f"witness does not match the complement: a class on {h.n} vertices, not {n}"
+            )
+        if any(s & row for s, row in zip(seen, h.adj)):
+            raise ValueError("witness does not match the complement: two classes share a pair")
+        seen = [s | row for s, row in zip(seen, h.adj)]
+    if any(s != full for s in seen):
+        raise ValueError("witness does not match the complement: a pair lies in no class")
+    vals = bytearray(n * (n - 1) // 2)  # red pairs keep color 0
+    for c, h in enumerate(witness, 1):
+        for v, row in enumerate(h.adj):
+            for u in iter_bits(row & ((1 << v) - 1)):
+                vals[pair_index(u, v)] = c
+    return EdgeColoring(n, len(witness) + 1, bytes(vals))

@@ -10,7 +10,6 @@ from ramseykit.anneal import (
     AnnealResult,
     anneal_search,
     count_copies_with_edge,
-    energy,
 )
 from ramseykit.coloring import EdgeColoring, color_class, emit_coloring_matrix
 from ramseykit.constructions import figure_coloring
@@ -40,6 +39,12 @@ def test_params_reject_no_restarts_or_sweeps(field):
     with pytest.raises(ValueError):
         AnnealParams(**{field: -1})
     assert getattr(AnnealParams(**{field: 1}), field) == 1
+
+
+def energy(c, ts):
+    """Copies of target i in color class i, summed over i, by brute force."""
+    assert len(ts) == c.m
+    return sum(len(naive_copies(color_class(c, i), t)) for i, t in enumerate(ts))
 
 
 def test_energy_of_figure4_is_zero():

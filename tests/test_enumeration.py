@@ -12,6 +12,7 @@ from ramseykit.enumeration import (
     _ClassRec,
     _extend_records,
     _extensions,
+    _orbit_min,
     archive_filename,
     enumerate_good,
     extend_level,
@@ -261,3 +262,36 @@ def test_records_carry_generators_over_their_own_labels(pair, n):
                 assert relabeled(g, perm) == g
             checked += len(rec.gens)
     assert checked > 500
+
+
+@pytest.mark.parametrize("cap", [0, 1])
+def test_orbit_cap_stops_the_search_and_keeps_the_mask(cap, monkeypatch):
+    # the 3-cycle 0 -> 1 -> 2 -> 0 on bits: mask 0b010 maps to 0b100, then
+    # to 0b001, which is smaller; a cap of one orbit member stops first
+    gens = [(1, 2, 0)]
+    assert not _orbit_min(0b010, gens)
+    assert _orbit_min(0b001, gens)
+    monkeypatch.setattr(enumeration, "_ORBIT_CAP", cap)
+    assert _orbit_min(0b010, gens)
+
+
+@pytest.mark.parametrize("pair, n", [("K3,J7", 9), ("K4,K4", 8), ("K9,K9", 7)])
+@pytest.mark.parametrize("cap", [0, 1])
+def test_orbit_cap_only_bounds_pruning(pair, n, cap, monkeypatch, tmp_path):
+    # a capped orbit search keeps a candidate it could not rule out, so
+    # more children reach the labeler, but the keys and the deletion test
+    # still leave one representative per class: the archives do not change
+    t1, t2 = targets.parse_target_list(pair)
+    calls = [0]
+    label = enumeration.canon_raw
+
+    def counted(*args):
+        calls[0] += 1
+        return label(*args)
+
+    monkeypatch.setattr(enumeration, "canon_raw", counted)
+    expect = archive_digest(t1, t2, n, tmp_path / "default")
+    uncapped = calls[0]
+    monkeypatch.setattr(enumeration, "_ORBIT_CAP", cap)
+    assert archive_digest(t1, t2, n, tmp_path / "capped") == expect
+    assert calls[0] - uncapped > uncapped

@@ -12,10 +12,11 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "ramseykit").glob("*.py"))
 SOURCES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
-# where a package function may be named: the package itself (an export in
-# __init__.py counts) and perfbench, which wraps some by name. A function
-# only the tests call is not part of the program.
-USERS = PACKAGE + sorted((ROOT / "perfbench").rglob("*.py"))
+# where a package function may be named: the package itself and perfbench,
+# which wraps some by name. An export in __init__.py does not count, so a
+# function only the tests call, exported or not, is not part of the program.
+USERS = [p for p in PACKAGE if p.name != "__init__.py"]
+USERS += sorted((ROOT / "perfbench").rglob("*.py"))
 
 # (file, name) pairs imported on purpose without being used in the file.
 KEPT = {
@@ -201,3 +202,8 @@ def test_scan_flags_an_unnamed_function(tmp_path):
         "mod.py:5: unused",
         "mod.py:10: method",
     ]
+    # an export names a function only if the exporting file is a user
+    init = tmp_path / "__init__.py"
+    init.write_text("from .mod import unused\n__all__ = ['method']\n")
+    assert unnamed_functions([mod], [mod, caller, init]) == []
+    assert all(p.name != "__init__.py" for p in USERS)

@@ -21,8 +21,6 @@ from ramseykit.graphs import Graph, complement
 from ramseykit.sat import CnfFormula, sat_solve
 from ramseykit.split import (
     CHAIN_LENGTH,
-    SplitWitness,
-    arrows,
     compose_coloring,
     edge_automorphisms,
     encode_split_cnf,
@@ -37,10 +35,18 @@ J4 = targets.clique_minus_edge(4)
 J7 = targets.clique_minus_edge(7)
 K3E = targets.triangle_plus_pendant()
 C4 = targets.cycle(4)
+MISMATCH = "witness does not match the complement: "
 
 
 def j7_graph():
     return J7.pattern()
+
+
+def assert_partition(g, witness):
+    """The classes are graphs on g's vertices whose edge sets partition g's."""
+    assert all(h.n == g.n for h in witness)
+    edges = [e for h in witness for e in h.edges()]
+    assert sorted(edges) == g.edges()
 
 
 def test_encode_counts_for_k4():
@@ -106,9 +112,10 @@ def test_j7_arrows_k3e_j4_by_sat():
 
 def test_recursive_split_finds_triangle_free_split_of_k5():
     witness = recursive_split(Graph.complete(5), [K3, K3])
-    assert witness is not None
-    for i in range(2):
-        assert not contains(witness.color_graph(i), K3)
+    assert witness is not None and len(witness) == 2
+    assert_partition(Graph.complete(5), witness)
+    for half in witness:
+        assert not contains(half, K3)
 
 
 def test_recursive_split_detects_arrowing():
@@ -118,14 +125,17 @@ def test_recursive_split_detects_arrowing():
 
 def test_recursive_split_three_colors():
     witness = recursive_split(Graph.complete(10), [K3, K3, K3])
-    assert witness is not None
-    for i in range(3):
-        assert not contains(witness.color_graph(i), K3)
+    assert witness is not None and len(witness) == 3
+    assert_partition(Graph.complete(10), witness)
+    for h in witness:
+        assert not contains(h, K3)
 
 
 def test_recursive_split_search_path_is_pinned():
-    # sha256 of repr of every result: pins the colorer's edge order, color
-    # order and first-use rule, so witnesses stay the same byte for byte
+    # sha256 of a text of every result: pins the colorer's edge order, color
+    # order and first-use rule, so witnesses stay the same byte for byte.
+    # The text spells each witness as its host edges in order, each with its
+    # class, in the form the digest was first taken over, so the pin holds.
     pool: list[Graph] = []
     for t1, t2 in [(K3, J7), (K3E, J4)]:
         level = [Graph.empty(1)]
@@ -144,7 +154,17 @@ def test_recursive_split_search_path_is_pinned():
     ]
     results = [recursive_split(g, ts) for g, ts in cases]
     assert len(results) == 485 and results[482] is None
-    digest = hashlib.sha256(repr(results).encode()).hexdigest()
+
+    def text(w):
+        if w is None:
+            return "None"
+        colors = tuple(sorted((e, i) for i, h in enumerate(w) for e in h.edges()))
+        return f"SplitWitness(n={w[0].n}, m={len(w)}, colors={colors!r})"
+
+    for (g, _), w in zip(cases, results):
+        if w is not None:
+            assert_partition(g, w)
+    digest = hashlib.sha256(f"[{', '.join(map(text, results))}]".encode()).hexdigest()
     assert digest == "f6f81b0b0fe04bc958c0375b37702f93334150888ab8dddec199a40c4d5fd52b"
 
 
@@ -153,7 +173,8 @@ def test_recursive_split_handles_over_a_thousand_edges():
     # what one Python call per edge allows
     host = Graph.from_edges(64, [(a, b) for a in range(32) for b in range(32, 64)])
     ok, witness = is_splittable(host, [K3, K3, K3])
-    assert ok and len(witness.colors) == 1024
+    assert ok
+    assert_partition(host, witness)
     # the complement, two disjoint K32, holds no K33
     composed = compose_coloring(complement(host), witness)
     assert coloring_is_valid(composed, [targets.clique(33), K3, K3, K3]).valid
@@ -178,8 +199,9 @@ def test_is_splittable_engines_agree_with_oracle():
             assert got_sat == got_rec == expect
             for w in (w_sat, w_rec):
                 if w is not None:
-                    assert not contains(w.color_graph(0), t1)
-                    assert not contains(w.color_graph(1), t2)
+                    assert_partition(g, w)
+                    assert not contains(w[0], t1)
+                    assert not contains(w[1], t2)
 
 
 def test_is_splittable_multicolor_matches_oracle():
@@ -197,8 +219,10 @@ def test_is_splittable_multicolor_matches_oracle():
         assert got == brute_splittable_m(g, ts), (g.adj, ts)
         assert (witness is not None) == got
         if witness is not None:
-            for i, t in enumerate(ts):
-                assert not contains(witness.color_graph(i), t)
+            assert len(witness) == m
+            assert_partition(g, witness)
+            for h, t in zip(witness, ts):
+                assert not contains(h, t)
         seen.add((m, got))
     assert seen == {(3, True), (3, False), (4, True), (4, False)}
 
@@ -212,16 +236,17 @@ def test_engine_both_cross_checks():
 
 def test_edgeless_graph_is_trivially_splittable():
     ok, witness = is_splittable(Graph.empty(3), [K3, K3])
-    assert ok and witness is not None and witness.colors == ()
+    assert ok and witness == (Graph.empty(3), Graph.empty(3))
 
 
 def test_arrows_examples():
-    assert arrows(Graph.complete(6), [K3, K3])
-    assert arrows(j7_graph(), [K3, J4])
-    assert arrows(j7_graph(), [K3E, J4])
-    assert not arrows(Graph.complete(5), [K3, K3])
+    # g arrows the targets exactly when it is not splittable
+    assert not is_splittable(Graph.complete(6), [K3, K3])[0]
+    assert not is_splittable(j7_graph(), [K3, J4])[0]
+    assert not is_splittable(j7_graph(), [K3E, J4])[0]
+    assert is_splittable(Graph.complete(5), [K3, K3])[0]
     # too few vertices to hold any target
-    assert not arrows(Graph.complete(2), [K3, K3])
+    assert is_splittable(Graph.complete(2), [K3, K3])[0]
 
 
 def test_compose_coloring_from_c5():
@@ -236,9 +261,28 @@ def test_compose_coloring_from_c5():
 
 def test_compose_coloring_rejects_domain_mismatch():
     red = Graph.cycle(5)
-    bad = SplitWitness(5, 2, (((0, 1), 0),))
-    with pytest.raises(ValueError, match="witness does not match"):
+    # a red edge in a class, and the complement's pairs uncovered
+    bad = (Graph.from_edges(5, [(0, 1)]), Graph.empty(5))
+    with pytest.raises(ValueError, match=MISMATCH + "two classes share a pair"):
         compose_coloring(red, bad)
+    # one complement pair left out of the classes
+    good = recursive_split(complement(red), [K3, K3])
+    with pytest.raises(ValueError, match=MISMATCH + "a pair lies in no class"):
+        compose_coloring(red, (Graph.from_edges(5, good[0].edges()[1:]), good[1]))
+    # the right classes on one vertex too many
+    wide = tuple(Graph(6, h.adj + (0,)) for h in good)
+    with pytest.raises(ValueError, match=MISMATCH + "a class on 6 vertices, not 5"):
+        compose_coloring(red, wide)
+
+
+def test_compose_coloring_rejects_overlapping_classes():
+    # every complement pair is covered, but one lies in both classes
+    red = Graph.cycle(5)
+    good = recursive_split(complement(red), [K3, K3])
+    u, v = good[0].edges()[0]
+    both = Graph.from_edges(5, good[1].edges() + [(u, v)])
+    with pytest.raises(ValueError, match=MISMATCH + "two classes share a pair"):
+        compose_coloring(red, (good[0], both))
 
 
 def test_fig3_sources_from_the_20_vertex_good_graph():
@@ -374,4 +418,5 @@ def test_breaking_leaves_witnesses_models_of_the_unbroken_formula():
         assert edge_automorphisms(g, f.edges)
         ok, witness = is_splittable(g, ts, engine="sat")
         assert ok
-        assert satisfies([witness.as_dict()[e] == 1 for e in f.edges], f.clauses)
+        assert_partition(g, witness)
+        assert satisfies([witness[1].has_edge(*e) for e in f.edges], f.clauses)

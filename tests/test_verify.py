@@ -4,8 +4,9 @@ import pytest
 
 from oracles import brute_avoiding_colorings, random_graph
 from ramseykit import targets, verify
-from ramseykit.enumeration import enumerate_good
+from ramseykit.enumeration import archive_filename, enumerate_good
 from ramseykit.graphs import Graph
+from test_sat import SPLIT_HOST, UNSPLIT_HOST
 
 
 def test_lemma_hex_passes():
@@ -81,6 +82,18 @@ def test_split_pipeline_from_archive(tmp_path):
     assert report.passed
     assert "graphs loaded: 14" in str(report)
     assert "splittable under (K3, J4): 14" in str(report)
+
+
+def test_split_pipeline_counts_an_unsplittable_host(tmp_path):
+    # an order-16 archive with one host of each verdict: the complement of
+    # the second arrows (K3, J4), so only the first is composed
+    name = archive_filename(targets.clique(3), targets.clique_minus_edge(7), 16)
+    (tmp_path / name).write_text(f"{SPLIT_HOST}\n{UNSPLIT_HOST}\n", encoding="ascii")
+    report = verify.verify_split_pipeline(16, archive_dir=str(tmp_path))
+    text = str(report)
+    assert report.passed and "result: PASS" in text
+    assert "(K3,J7;16)-good graphs loaded: 2" in text
+    assert "splittable under (K3, J4): 1" in text
 
 
 def test_split_pipeline_missing_archive_errors(tmp_path):

@@ -10,9 +10,10 @@ rule under a geometric cooling schedule with deterministic per-restart
 seeds. The initial colors and each move's edge and new color are drawn
 from ``getrandbits`` with the rejection loop of ``Random.randrange``, so
 the values and the generator's state follow ``randrange`` bit for bit.
-The initial energy sums the same closed forms over every edge of the
-color masks (:func:`detect.count_copies`). This module knows no target
-kind: all per-kind search lives in :mod:`detect`.
+The initial energy totals each color mask's copies with
+:func:`detect.count_copies`, which counts cliques and J_k spines whole
+rather than edge by edge. This module knows no target kind: all per-kind
+search lives in :mod:`detect`.
 """
 
 from __future__ import annotations

@@ -175,6 +175,8 @@ VERIFICATIONS = {
 def _cmd_verify(args) -> int:
     report = VERIFICATIONS[args.what](args)
     print(report)
+    if report.passed and report.overrun is not None:
+        raise report.overrun  # exit 3 once the finished parts are reported
     return EXIT_OK if report.passed else EXIT_FAIL
 
 

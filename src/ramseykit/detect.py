@@ -6,9 +6,11 @@ lazy copy generator, which backs :func:`list_copies`, :func:`contains` and
 the enumerator's screen :func:`critical_sets`, and one closed form for the
 number of copies through a present edge {u,v}. The closed forms have one
 dispatch point, :func:`count_copies_with_edge`, which evaluates the K_k and
-J_k forms in its own body. Annealing scores a move with one call to it, and
-:func:`count_copies` sums it over the host's edges: each copy is counted
-once per edge of the target, so no copy is built.
+J_k forms in its own body; annealing scores a move with one call to it.
+:func:`count_copies` totals a whole graph without building a copy: it
+counts K_k as k-cliques and J_k as pairs of common neighbours of a
+(k-2)-clique spine, and sums the through-edge forms of the other kinds
+over the host's edges, each copy once per edge of the target.
 Everything works on neighborhood bitmasks: a clique is grown by
 intersecting candidate masks, J_k is located as a vertex pair whose common
 neighborhood holds a (k-2)-clique, and so on for the other patterns in the
@@ -174,10 +176,21 @@ def count_copies(masks: Sequence[int], n: int, t: Target) -> int:
     """Number of distinct copies of ``t`` in the mask graph on ``n``
     vertices; ``len(list_copies(g, t))`` for ``masks = g.adj``.
 
-    Each copy has |E(t)| edges, so the copies through the edges of the
-    graph, summed by the closed forms of :func:`count_copies_with_edge`,
-    count every copy |E(t)| times; no copy is built.
+    K_k counts its k-cliques. A J_k copy is its spine, a (k-2)-clique Q,
+    plus any two common neighbours of Q, so J_k sums C(|N(Q)|, 2) over the
+    spines. K_k-P3 and C_k sum the closed forms of
+    :func:`count_copies_with_edge` over the graph's edges, which counts
+    every copy |E(t)| times. No copy is built.
     """
+    full = (1 << n) - 1
+    if t.kind == CLIQUE:
+        return count_cliques(masks, full, t.k)
+    if t.kind == CLIQUE_MINUS_EDGE:
+        total = 0
+        for common in _clique_commons(masks, full, t.k - 2, full):
+            x = common.bit_count()
+            total += x * (x - 1) >> 1
+        return total
     total = 0
     for v in range(n):
         for u in iter_bits(masks[v] & ((1 << v) - 1)):

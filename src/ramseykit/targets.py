@@ -9,8 +9,7 @@ and C_k. The triangle with a pendant edge (K3+e) is exactly K4 minus a
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 from .graphs import Graph
 
@@ -34,28 +33,28 @@ _SHORT = {("K", 4, "mP3"): ("K", 3, "e")}
 _LONG = {short: full for full, short in _SHORT.items()}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Target:
     kind: str
     k: int
+    # Set once at construction: annealing reads kind and k on every move
+    # (slots make those plain loads), and perfbench/tracing.py reads the
+    # token on every traced move. Equality and hashing ignore it.
+    token: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown target kind {self.kind!r}")
-        low = _KINDS[self.kind][2]
+        head, tail, low, _ = _KINDS[self.kind]
         if self.k < low:
             raise ValueError(f"{self.kind} needs k >= {low}, got {self.k}")
+        form = (head, self.k, tail)
+        object.__setattr__(self, "token", "%s%d%s" % _SHORT.get(form, form))
 
     @property
     def order(self) -> int:
         """Number of vertices of the pattern."""
         return self.k
-
-    @cached_property  # perfbench/tracing.py reads it on every traced annealing move
-    def token(self) -> str:
-        head, tail, _, _ = _KINDS[self.kind]
-        form = (head, self.k, tail)
-        return "%s%d%s" % _SHORT.get(form, form)
 
     @property
     def edge_count(self) -> int:

@@ -252,6 +252,25 @@ def test_conflict_budget_exits_3_with_empty_stdout(command, tmp_path):
     assert (proc.returncode, proc.stdout, proc.stderr) == (3, out, BUDGET_ERROR)
 
 
+def test_verify_split_pipeline_overrun_reports_the_finished_hosts(tmp_path):
+    from test_sat import SPLIT_HOST, UNSPLIT_HOST
+
+    # the second host's symmetry-broken formula needs 187 conflicts
+    (tmp_path / "good_K3_J7_n16.g6").write_text(f"{SPLIT_HOST}\n{UNSPLIT_HOST}\n")
+    argv = ["verify", "split-pipeline", "--level", "16", "--archive", str(tmp_path)]
+    proc = run_cli(argv + ["--max-conflicts", "150"])
+    assert (proc.returncode, proc.stderr) == (3, "resource error: conflict budget 150 exhausted\n")
+    lines = [line.strip() for line in proc.stdout.splitlines()]
+    assert lines[1:] == [
+        "verify split-pipeline",
+        "(K3,J7;16)-good graphs loaded: 2",
+        "splittable under (K3, J4): 1",
+        "over the conflict budget, verdict unknown: 1",
+        "all compositions are (K3,K3,J4)-colorings: ok",
+        "result: PASS",
+    ]
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_split_budget_overrun_keeps_the_finished_verdicts(jobs):
     from ramseykit.targets import clique_minus_edge

@@ -102,6 +102,23 @@ def test_count_copies_equals_listed_copies():
     assert kinds == {t.kind for t in ALL_TARGETS}
 
 
+def test_count_copies_closed_forms_beyond_k5():
+    # the clique and J_k totals for general k, on hosts smaller than the
+    # pattern too
+    rng = random.Random(37)
+    deep = [targets.clique(6), targets.clique_minus_edge(6), J7]
+    found = set()
+    for n in range(1, 10):
+        for _ in range(6):
+            g = random_graph(rng, n, 0.5 + rng.random() / 2)
+            for t in deep:
+                count = count_copies(g.adj, g.n, t)
+                assert count == len(list_copies(g, t).copies), (g.adj, t)
+                if count:
+                    found.add(t)
+    assert found == set(deep)
+
+
 def test_edge_counts_sum_to_edges_times_copies():
     # each copy is counted once through each of its |E(t)| edges
     rng = random.Random(31)

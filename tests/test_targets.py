@@ -1,4 +1,5 @@
 import hashlib
+import pickle
 
 import pytest
 
@@ -12,6 +13,27 @@ def test_token_round_trips(token):
     t = targets.parse_target(token)
     assert str(t) == token
     assert targets.parse_target(str(t)) == t
+
+
+@pytest.mark.parametrize("token", ["K2", "K3", "J4", "J7", "K3e", "K4mP3", "K5mP3", "C3", "C6"])
+def test_target_pickles_with_its_token(token):
+    # the --jobs paths send targets to worker processes by pickle
+    t = targets.parse_target(token)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(t, protocol))
+        assert (back.kind, back.k, back.token) == (t.kind, t.k, t.token)
+        assert back == t and hash(back) == hash(t)
+    assert targets.parse_target(t.token) == t
+
+
+def test_equality_and_hash_depend_on_kind_and_k_only():
+    a, b = targets.Target(targets.CLIQUE, 4), targets.clique(4)
+    assert a == b and hash(a) == hash(b) == hash((targets.CLIQUE, 4))
+    assert a != targets.clique(5) and a != targets.clique_minus_edge(4)
+    assert repr(a) == "Target(kind='clique', k=4)"
+    assert not hasattr(a, "__dict__")  # slotted: kind and k are slot loads
+    with pytest.raises(TypeError):
+        targets.Target(targets.CLIQUE, 4, "K4")  # the token is derived, not given
 
 
 def test_k3e_is_k4_minus_p3():

@@ -96,6 +96,26 @@ def test_split_pipeline_counts_an_unsplittable_host(tmp_path):
     assert "splittable under (K3, J4): 1" in text
 
 
+def test_split_pipeline_counts_an_overrun_host_as_unknown(tmp_path):
+    # the symmetry-broken formulas of SPLIT_HOST and UNSPLIT_HOST take 115
+    # and 187 conflicts: a budget of 150 leaves the first archive host
+    # unknown and still decides the second
+    name = archive_filename(targets.clique(3), targets.clique_minus_edge(7), 16)
+    (tmp_path / name).write_text(f"{UNSPLIT_HOST}\n{SPLIT_HOST}\n", encoding="ascii")
+    report = verify.verify_split_pipeline(16, archive_dir=str(tmp_path), max_conflicts=150)
+    assert report.passed and str(report.overrun) == "conflict budget 150 exhausted"
+    assert report.lines == [
+        "(K3,J7;16)-good graphs loaded: 2",
+        "splittable under (K3, J4): 1",
+        "over the conflict budget, verdict unknown: 1",
+        "all compositions are (K3,K3,J4)-colorings: ok",
+    ]
+    # a budget that every host meets leaves the report as without one
+    roomy = verify.verify_split_pipeline(16, archive_dir=str(tmp_path), max_conflicts=187)
+    assert roomy.overrun is None
+    assert str(roomy) == str(verify.verify_split_pipeline(16, archive_dir=str(tmp_path)))
+
+
 def test_split_pipeline_missing_archive_errors(tmp_path):
     with pytest.raises(FileNotFoundError):
         verify.verify_split_pipeline(9, archive_dir=str(tmp_path))

@@ -21,7 +21,7 @@ from .anneal import AnnealParams, anneal_search
 from .canon import canonical_form
 from .coloring import emit_coloring_matrix, parse_coloring_matrix
 from .constructions import clone_vertex, extend_by_clone, named_graph
-from .enumeration import EnumerationLimitError, enumerate_good
+from .enumeration import enumerate_good
 from .graph6 import emit_graph6, iter_graph6, parse_graph6
 from .sat import BudgetExceededError, write_dimacs
 from .split import encode_split_cnf, is_splittable, witness_matrix
@@ -55,18 +55,7 @@ def _write_text(path: str | None, text: str) -> None:
 def _cmd_enumerate(args) -> int:
     t1 = parse_target(args.t1)
     t2 = parse_target(args.t2)
-    try:
-        stats = enumerate_good(
-            t1,
-            t2,
-            args.max_n,
-            emit_dir=args.emit_graphs,
-            class_limit=args.limit,
-            jobs=args.jobs,
-        )
-    except EnumerationLimitError as exc:
-        sys.stdout.write(exc.stats.as_tsv())  # the finished levels stand
-        raise
+    stats = enumerate_good(t1, t2, args.max_n, emit_dir=args.emit_graphs, jobs=args.jobs)
     sys.stdout.write(stats.as_tsv())
     return EXIT_OK
 
@@ -231,7 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t2", required=True, help="target forbidden in the complement, e.g. J7")
     p.add_argument("--max-n", type=int, required=True)
     p.add_argument("--emit-graphs", metavar="DIR", help="write per-level graph6 archives")
-    p.add_argument("--limit", type=int, help="abort when a level exceeds this many classes")
     p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     p.set_defaults(func=_cmd_enumerate)
 
@@ -317,7 +305,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (BudgetExceededError, EnumerationLimitError) as exc:
+    except BudgetExceededError as exc:
         print(f"resource error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except (ValueError, OSError) as exc:

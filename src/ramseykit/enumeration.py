@@ -2,9 +2,10 @@
 
 Goodness is hereditary under vertex deletion, so every good graph of order
 n+1 arises from a good graph of order n by attaching one vertex. Starting
-from K1 and extending level by level therefore visits every isomorphism
-class; this file owns the extension step, the per-level statistics and the
-graph6 level archives.
+from K1 and extending one vertex at a time therefore visits every
+isomorphism class; this file owns the extension step, the depth-first
+walk of the census tree, the per-level statistics and the graph6 level
+archives.
 
 Extension is screened the same way for every pair of targets. ``detect``
 lists the parent's critical sets for t1 and those of its complement for
@@ -23,18 +24,25 @@ dropped before it is built or labeled; for the rest, the labeling that
 gives the canonical key also decides the orbit test. Both tests work in
 any labels, so a class travels in the labels it was found in and is
 relabeled into canonical order once, when the enumerator emits it.
+
+Every class has exactly one parent on that path, so the census is a tree
+and no level has to be held: ``enumerate_good`` walks it depth first and
+keeps only per-order tallies. With several jobs it deals subtrees out to
+worker processes, as geng deals out its search tree (McKay & Piperno
+2014, "Practical graph isomorphism, II", J. Symbolic Comput. 60).
 """
 
 from __future__ import annotations
 
 import os
+from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from typing import Iterator, Sequence
 
 from .canon import canon_raw, orbit_closure
 from .detect import critical_sets
-from .graph6 import write_graph6
+from .graph6 import emit_graph6
 from .graphs import Graph, iter_bits, relabel_rows as relabel_canonical
 from .targets import Target
 
@@ -68,14 +76,6 @@ class EnumerationStats:
         for row in self.levels:
             lines.append(f"{row.order}\t{row.count}\t{row.edge_range}")
         return "\n".join(lines) + "\n"
-
-
-class EnumerationLimitError(RuntimeError):
-    """A level exceeded the class limit; ``stats`` holds the finished rows."""
-
-    def __init__(self, message: str, stats: EnumerationStats):
-        super().__init__(message)
-        self.stats = stats
 
 
 def _extensions(adj: tuple[int, ...], n: int, t1: Target, t2: Target) -> Iterator[int]:
@@ -191,52 +191,37 @@ def _new_vertex_ties(
     return ties
 
 
-def _extend_records(
-    records: Sequence[_ClassRec], t1: Target, t2: Target
-) -> dict[bytes, _ClassRec]:
+def _children(rec: _ClassRec, t1: Target, t2: Target) -> dict[bytes, _ClassRec]:
+    """The children of one class on the canonical construction path, by key.
+
+    Two parents never share a child, but the ``_ORBIT_CAP`` fallback can let
+    one orbit through twice, so keys are deduplicated within the parent.
+    """
+    adj = rec.adj
+    n = len(adj)
+    bit = 1 << n
+    deg = [row.bit_count() for row in adj]
+    nsum = [sum(deg[u] for u in iter_bits(row)) for row in adj]
+    top = max(deg)
+    by_deg = [0] * (n + 1)
+    for v, d in enumerate(deg):
+        by_deg[d] |= 1 << v
     out: dict[bytes, _ClassRec] = {}
-    for rec in records:
-        adj = rec.adj
-        n = len(adj)
-        bit = 1 << n
-        deg = [row.bit_count() for row in adj]
-        nsum = [sum(deg[u] for u in iter_bits(row)) for row in adj]
-        top = max(deg)
-        by_deg = [0] * (n + 1)
-        for v, d in enumerate(deg):
-            by_deg[d] |= 1 << v
-        for s in _extensions(adj, n, t1, t2):
-            ties = _new_vertex_ties(adj, deg, nsum, by_deg, top, s)
-            if ties is None or not _orbit_min(s, rec.gens):
+    for s in _extensions(adj, n, t1, t2):
+        ties = _new_vertex_ties(adj, deg, nsum, by_deg, top, s)
+        if ties is None or not _orbit_min(s, rec.gens):
+            continue
+        child = tuple(
+            (row | bit) if (s >> v) & 1 else row for v, row in enumerate(adj)
+        ) + (s,)
+        key, order, gens = canon_raw(n + 1, child)
+        if ties:
+            # canonical deletion vertex: the tie at the lowest position
+            m = next(v for v in order if (ties | bit) >> v & 1)
+            if m != n and n not in orbit_closure([m], gens):
                 continue
-            child = tuple(
-                (row | bit) if (s >> v) & 1 else row for v, row in enumerate(adj)
-            ) + (s,)
-            key, order, gens = canon_raw(n + 1, child)
-            if ties:
-                # canonical deletion vertex: the tie at the lowest position
-                m = next(v for v in order if (ties | bit) >> v & 1)
-                if m != n and n not in orbit_closure([m], gens):
-                    continue
-            if key not in out:
-                out[key] = _ClassRec(child, order, tuple(gens))
-    return out
-
-
-def _extend_parallel(
-    records: Sequence[_ClassRec], t1: Target, t2: Target, jobs: int
-) -> dict[bytes, _ClassRec]:
-    if jobs <= 1 or len(records) < 64:
-        return _extend_records(records, t1, t2)
-    import multiprocessing as mp
-
-    chunks = max(1, jobs * 4)
-    step = (len(records) + chunks - 1) // chunks
-    work = [records[i : i + step] for i in range(0, len(records), step)]
-    out: dict[bytes, _ClassRec] = {}
-    with mp.Pool(jobs) as pool:
-        for part in pool.imap(partial(_extend_records, t1=t1, t2=t2), work):
-            out.update(part)  # chunks of a level give disjoint classes
+        if key not in out:
+            out[key] = _ClassRec(child, order, tuple(gens))
     return out
 
 
@@ -249,12 +234,35 @@ def extend_level(level: Sequence[Graph], t1: Target, t2: Target) -> list[Graph]:
     lies in that subset: the whole level gives the whole next level, and
     disjoint chunks of it give disjoint parts of the next level.
     """
-    records = []
+    out: list[tuple[bytes, _ClassRec]] = []
     for g in level:
         _, order, gens = canon_raw(g.n, g.adj)
-        records.append(_ClassRec(g.adj, order, tuple(gens)))
-    out = _extend_records(records, t1, t2)
-    return [_canonical_graph(r) for _, r in sorted(out.items())]
+        out += _children(_ClassRec(g.adj, order, tuple(gens)), t1, t2).items()
+    out.sort(key=lambda item: item[0])
+    return [_canonical_graph(rec) for _, rec in out]
+
+
+def _subtree(
+    root: tuple[bytes, _ClassRec], t1: Target, t2: Target, n_max: int, emit: bool
+) -> tuple[Counter[tuple[int, int]], dict[int, list[tuple[bytes, str]]]]:
+    """Tallies of ``root`` and the classes below it, down to order ``n_max``.
+
+    The first counts classes per (order, edges); the second holds each
+    class's (key, graph6) per order, only when ``emit``. The walk keeps one
+    stack of the children still to visit, not a level.
+    """
+    tally: Counter[tuple[int, int]] = Counter()
+    graphs: dict[int, list[tuple[bytes, str]]] = {}
+    stack = [root]
+    while stack:
+        key, rec = stack.pop()
+        n = len(rec.adj)
+        tally[n, sum(row.bit_count() for row in rec.adj) // 2] += 1
+        if emit:
+            graphs.setdefault(n, []).append((key, emit_graph6(_canonical_graph(rec))))
+        if n < n_max:
+            stack += _children(rec, t1, t2).items()
+    return tally, graphs
 
 
 def enumerate_good(
@@ -262,43 +270,47 @@ def enumerate_good(
     t2: Target,
     n_max: int,
     emit_dir: str | None = None,
-    class_limit: int | None = None,
     jobs: int = 1,
 ) -> EnumerationStats:
     """Level statistics for all (t1,t2)-good graphs of orders 1..n_max.
 
-    With ``emit_dir`` each level is archived as one graph6 file. Levels past
-    the Ramsey number stay empty and cost nothing. ``class_limit`` bounds
-    the classes per level; exceeding it raises
-    :class:`EnumerationLimitError` carrying the completed rows. ``jobs``
-    spreads a level's parents over worker processes; the result does not
-    depend on the worker count.
+    The census tree is walked depth first from K1, so memory grows with
+    the depth of the tree, not with the size of a level. With ``emit_dir``
+    each level is archived as one graph6 file, sorted by canonical key;
+    until the files are written, one (key, graph6) pair per class is held.
+    Levels past the Ramsey number stay empty and cost nothing. With
+    ``jobs`` > 1 the levels are expanded from K1 until one holds at least
+    16 × ``jobs`` classes; the subtrees below that level are dealt to
+    worker processes as they free up, and the levels above it are walked
+    again serially. The result does not depend on the worker count.
     """
     stats = EnumerationStats(t1, t2, [])
     if n_max < 1:
         return stats
-    level = {canon_raw(1, (0,))[0]: _ClassRec((0,), (0,), ())}
+    root = (canon_raw(1, (0,))[0], _ClassRec((0,), (0,), ()))
+    walk = partial(_subtree, t1=t1, t2=t2, emit=emit_dir is not None)
+    parts, split = [root], 1
+    while jobs > 1 and len(parts) < 16 * jobs and split < n_max:
+        parts = [item for _, rec in parts for item in _children(rec, t1, t2).items()]
+        split += 1
+    if jobs <= 1 or len(parts) < 16 * jobs:
+        tally, graphs = walk(root, n_max=n_max)
+    else:
+        import multiprocessing as mp
+
+        tally, graphs = walk(root, n_max=split - 1)
+        with mp.Pool(jobs) as pool:
+            for part, part_graphs in pool.imap_unordered(partial(walk, n_max=n_max), parts):
+                tally.update(part)
+                for n, pairs in part_graphs.items():
+                    graphs.setdefault(n, []).extend(pairs)
     for order in range(1, n_max + 1):
-        if order > 1 and level:
-            level = _extend_parallel(
-                [rec for _, rec in sorted(level.items())], t1, t2, jobs
-            )
-        count = len(level)
-        if class_limit is not None and count > class_limit:
-            raise EnumerationLimitError(
-                f"level {order} has {count} classes, over the limit {class_limit}",
-                stats,
-            )
-        if count:
-            edge_counts = [
-                sum(row.bit_count() for row in rec.adj) // 2 for rec in level.values()
-            ]
-            row = LevelStats(order, count, min(edge_counts), max(edge_counts))
-        else:
-            row = LevelStats(order, 0, None, None)
-        stats.levels.append(row)
+        edges = [e for n, e in tally if n == order]
+        count = sum(tally[order, e] for e in edges)
+        low, high = min(edges, default=None), max(edges, default=None)
+        stats.levels.append(LevelStats(order, count, low, high))
         if emit_dir is not None:
-            _write_archive(emit_dir, t1, t2, order, level)
+            _write_archive(emit_dir, t1, t2, order, graphs.pop(order, []))
     return stats
 
 
@@ -307,10 +319,10 @@ def archive_filename(t1: Target, t2: Target, order: int) -> str:
 
 
 def _write_archive(
-    emit_dir: str, t1: Target, t2: Target, order: int, level: dict[bytes, _ClassRec]
+    emit_dir: str, t1: Target, t2: Target, order: int, pairs: list[tuple[bytes, str]]
 ) -> None:
     os.makedirs(emit_dir, exist_ok=True)
     path = os.path.join(emit_dir, archive_filename(t1, t2, order))
+    pairs.sort()
     with open(path, "w", encoding="ascii") as fh:
-        graphs = (_canonical_graph(rec) for _, rec in sorted(level.items()))
-        write_graph6(fh, graphs)
+        fh.writelines(g6 + "\n" for _, g6 in pairs)

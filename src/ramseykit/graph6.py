@@ -9,7 +9,7 @@ the byte offset at fault.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, TextIO
+from typing import Iterator, TextIO
 
 from .graphs import Graph
 
@@ -98,9 +98,3 @@ def iter_graph6(stream: TextIO) -> Iterator[Graph]:
         line = line.strip()
         if line:
             yield parse_graph6(line)
-
-
-def write_graph6(stream: TextIO, graphs: Iterable[Graph]) -> None:
-    for g in graphs:
-        stream.write(emit_graph6(g))
-        stream.write("\n")

@@ -46,13 +46,6 @@ def test_enumerate_is_byte_identical(capsys):
     assert capsys.readouterr().out == first
 
 
-def test_enumerate_limit_exit_code(capsys):
-    rc = main(
-        ["enumerate", "--t1", "K3", "--t2", "J7", "--max-n", "6", "--limit", "5", "--jobs", "1"]
-    )
-    assert rc == 3
-
-
 def test_verify_exit_codes():
     assert main(["verify", "figure3"]) == 0
     assert main(["verify", "figure4"]) == 0

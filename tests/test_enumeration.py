@@ -8,9 +8,8 @@ from ramseykit import enumeration, targets
 from ramseykit.canon import canon_raw, canonical_form
 from ramseykit.detect import is_good
 from ramseykit.enumeration import (
-    EnumerationLimitError,
     _ClassRec,
-    _extend_records,
+    _children,
     _extensions,
     _orbit_min,
     archive_filename,
@@ -184,13 +183,6 @@ def test_archives_written_per_level(tmp_path):
     assert all(is_good(g, K3, J7) for g in graphs)
 
 
-def test_class_limit_raises_resource_error_with_partial_stats():
-    with pytest.raises(EnumerationLimitError) as exc:
-        enumerate_good(K3, J7, 6, class_limit=10)
-    rows = exc.value.stats.levels
-    assert [r.count for r in rows] == [1, 2, 3, 7]
-
-
 def archive_digest(t1, t2, n, emit_dir, jobs=1):
     """sha256 (first 16 hex digits) of the archives of orders 1..n, in order."""
     enumerate_good(t1, t2, n, emit_dir=str(emit_dir), jobs=jobs)
@@ -217,13 +209,21 @@ def test_archive_bytes_are_pinned(pair, n, digest, tmp_path):
     assert archive_digest(t1, t2, n, tmp_path) == digest
 
 
-def test_jobs_do_not_change_the_result(tmp_path):
-    # levels 7 and 8 (105 and 392 classes) engage the process pool
-    serial = enumerate_good(K3, J7, 9, jobs=1)
-    parallel = enumerate_good(K3, J7, 9, jobs=2)
+@pytest.mark.parametrize(
+    "pair, n, jobs",
+    [
+        ("K3,J7", 9, 2),  # 38 subtrees below order 6 go to the pool
+        ("K3,J7", 9, 3),  # 105 subtrees below order 7
+        ("K3,K3", 7, 2),  # the tree dies out before any level has 32 classes
+    ],
+)
+def test_jobs_do_not_change_the_result(pair, n, jobs, tmp_path):
+    t1, t2 = targets.parse_target_list(pair)
+    serial = enumerate_good(t1, t2, n, jobs=1)
+    parallel = enumerate_good(t1, t2, n, jobs=jobs)
     assert serial.as_tsv() == parallel.as_tsv()
-    assert archive_digest(K3, J7, 9, tmp_path / "serial", jobs=1) == archive_digest(
-        K3, J7, 9, tmp_path / "parallel", jobs=2
+    assert archive_digest(t1, t2, n, tmp_path / "serial", jobs=1) == archive_digest(
+        t1, t2, n, tmp_path / "parallel", jobs=jobs
     )
 
 
@@ -251,16 +251,17 @@ def test_only_emitted_classes_are_relabeled(monkeypatch, tmp_path):
 def test_records_carry_generators_over_their_own_labels(pair, n):
     # the orbit test reads gens against adj, so both must share one labeling
     t1, t2 = targets.parse_target_list(pair)
-    level = {canonical_form(Graph.empty(1)): _ClassRec((0,), (0,), ())}
+    level = [_ClassRec((0,), (0,), ())]
     checked = 0
     for _ in range(n - 1):
-        level = _extend_records([rec for _, rec in sorted(level.items())], t1, t2)
-        for key, rec in level.items():
+        children = [item for rec in level for item in _children(rec, t1, t2).items()]
+        for key, rec in children:
             g = Graph(len(rec.adj), rec.adj)
             assert canon_raw(g.n, g.adj)[:2] == (key, rec.order)
             for perm in rec.gens:
                 assert relabeled(g, perm) == g
             checked += len(rec.gens)
+        level = [rec for _, rec in children]
     assert checked > 500
 
 

@@ -215,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"ramseykit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("enumerate", help="enumerate (t1,t2)-good graphs level by level")
+    p = sub.add_parser("enumerate", help="count (t1,t2)-good graphs per order, depth first")
     p.add_argument("--t1", required=True, help="target forbidden in the graph, e.g. K3")
     p.add_argument("--t2", required=True, help="target forbidden in the complement, e.g. J7")
     p.add_argument("--max-n", type=int, required=True)

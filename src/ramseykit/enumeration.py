@@ -25,11 +25,11 @@ gives the canonical key also decides the orbit test. Both tests work in
 any labels, so a class travels in the labels it was found in and is
 relabeled into canonical order once, when the enumerator emits it.
 
-Every class has exactly one parent on that path, so the census is a tree
-and no level has to be held: ``enumerate_good`` walks it depth first and
-keeps only per-order tallies. With several jobs it deals subtrees out to
-worker processes, as geng deals out its search tree (McKay & Piperno
-2014, "Practical graph isomorphism, II", J. Symbolic Comput. 60).
+Every class arises once, from its one parent on that path, so the census
+is a tree and no level has to be held: ``enumerate_good`` walks it depth
+first. With several jobs it deals subtrees out to worker processes, as
+geng deals out its search tree (McKay & Piperno 2014, "Practical graph
+isomorphism, II", J. Symbolic Comput. 60).
 """
 
 from __future__ import annotations
@@ -45,8 +45,6 @@ from .detect import critical_sets
 from .graph6 import emit_graph6
 from .graphs import Graph, iter_bits, relabel_rows as relabel_canonical
 from .targets import Target
-
-_ORBIT_CAP = 4096
 
 
 @dataclass(frozen=True)
@@ -141,8 +139,6 @@ def _orbit_min(s: int, gens: Sequence[tuple[int, ...]]) -> bool:
             if img < s:
                 return False
             if img not in seen:
-                if len(seen) >= _ORBIT_CAP:
-                    return True
                 seen.add(img)
                 stack.append(img)
     return True
@@ -191,11 +187,12 @@ def _new_vertex_ties(
     return ties
 
 
-def _children(rec: _ClassRec, t1: Target, t2: Target) -> dict[bytes, _ClassRec]:
-    """The children of one class on the canonical construction path, by key.
+def _children(rec: _ClassRec, t1: Target, t2: Target) -> list[tuple[bytes, _ClassRec]]:
+    """The (key, record) of each child of one class on the canonical path.
 
-    Two parents never share a child, but the ``_ORBIT_CAP`` fallback can let
-    one orbit through twice, so keys are deduplicated within the parent.
+    No two share a class. Each S kept is least in its orbit under the
+    parent's automorphism group, which ``canon_raw``'s generators generate
+    whole; isomorphic children passing the deletion test have S in one orbit.
     """
     adj = rec.adj
     n = len(adj)
@@ -206,7 +203,7 @@ def _children(rec: _ClassRec, t1: Target, t2: Target) -> dict[bytes, _ClassRec]:
     by_deg = [0] * (n + 1)
     for v, d in enumerate(deg):
         by_deg[d] |= 1 << v
-    out: dict[bytes, _ClassRec] = {}
+    out = []
     for s in _extensions(adj, n, t1, t2):
         ties = _new_vertex_ties(adj, deg, nsum, by_deg, top, s)
         if ties is None or not _orbit_min(s, rec.gens):
@@ -220,8 +217,7 @@ def _children(rec: _ClassRec, t1: Target, t2: Target) -> dict[bytes, _ClassRec]:
             m = next(v for v in order if (ties | bit) >> v & 1)
             if m != n and n not in orbit_closure([m], gens):
                 continue
-        if key not in out:
-            out[key] = _ClassRec(child, order, tuple(gens))
+        out.append((key, _ClassRec(child, order, tuple(gens))))
     return out
 
 
@@ -237,31 +233,31 @@ def extend_level(level: Sequence[Graph], t1: Target, t2: Target) -> list[Graph]:
     out: list[tuple[bytes, _ClassRec]] = []
     for g in level:
         _, order, gens = canon_raw(g.n, g.adj)
-        out += _children(_ClassRec(g.adj, order, tuple(gens)), t1, t2).items()
+        out += _children(_ClassRec(g.adj, order, tuple(gens)), t1, t2)
     out.sort(key=lambda item: item[0])
     return [_canonical_graph(rec) for _, rec in out]
 
 
 def _subtree(
-    root: tuple[bytes, _ClassRec], t1: Target, t2: Target, n_max: int, emit: bool
-) -> tuple[Counter[tuple[int, int]], dict[int, list[tuple[bytes, str]]]]:
+    root: _ClassRec, t1: Target, t2: Target, n_max: int, emit: bool
+) -> tuple[Counter[tuple[int, int]], dict[int, list[str]]]:
     """Tallies of ``root`` and the classes below it, down to order ``n_max``.
 
     The first counts classes per (order, edges); the second holds each
-    class's (key, graph6) per order, only when ``emit``. The walk keeps one
+    class's graph6 line per order, only when ``emit``. The walk keeps one
     stack of the children still to visit, not a level.
     """
     tally: Counter[tuple[int, int]] = Counter()
-    graphs: dict[int, list[tuple[bytes, str]]] = {}
+    graphs: dict[int, list[str]] = {}
     stack = [root]
     while stack:
-        key, rec = stack.pop()
+        rec = stack.pop()
         n = len(rec.adj)
         tally[n, sum(row.bit_count() for row in rec.adj) // 2] += 1
         if emit:
-            graphs.setdefault(n, []).append((key, emit_graph6(_canonical_graph(rec))))
+            graphs.setdefault(n, []).append(emit_graph6(_canonical_graph(rec)))
         if n < n_max:
-            stack += _children(rec, t1, t2).items()
+            stack += [child for _, child in _children(rec, t1, t2)]
     return tally, graphs
 
 
@@ -277,7 +273,7 @@ def enumerate_good(
     The census tree is walked depth first from K1, so memory grows with
     the depth of the tree, not with the size of a level. With ``emit_dir``
     each level is archived as one graph6 file, sorted by canonical key;
-    until the files are written, one (key, graph6) pair per class is held.
+    until the files are written, one graph6 line per class is held.
     Levels past the Ramsey number stay empty and cost nothing. With
     ``jobs`` > 1 the levels are expanded from K1 until one holds at least
     16 × ``jobs`` classes; the subtrees below that level are dealt to
@@ -287,11 +283,11 @@ def enumerate_good(
     stats = EnumerationStats(t1, t2, [])
     if n_max < 1:
         return stats
-    root = (canon_raw(1, (0,))[0], _ClassRec((0,), (0,), ()))
+    root = _ClassRec((0,), (0,), ())
     walk = partial(_subtree, t1=t1, t2=t2, emit=emit_dir is not None)
     parts, split = [root], 1
     while jobs > 1 and len(parts) < 16 * jobs and split < n_max:
-        parts = [item for _, rec in parts for item in _children(rec, t1, t2).items()]
+        parts = [child for rec in parts for _, child in _children(rec, t1, t2)]
         split += 1
     if jobs <= 1 or len(parts) < 16 * jobs:
         tally, graphs = walk(root, n_max=n_max)
@@ -302,8 +298,8 @@ def enumerate_good(
         with mp.Pool(jobs) as pool:
             for part, part_graphs in pool.imap_unordered(partial(walk, n_max=n_max), parts):
                 tally.update(part)
-                for n, pairs in part_graphs.items():
-                    graphs.setdefault(n, []).extend(pairs)
+                for n, lines in part_graphs.items():
+                    graphs.setdefault(n, []).extend(lines)
     for order in range(1, n_max + 1):
         edges = [e for n, e in tally if n == order]
         count = sum(tally[order, e] for e in edges)
@@ -319,10 +315,10 @@ def archive_filename(t1: Target, t2: Target, order: int) -> str:
 
 
 def _write_archive(
-    emit_dir: str, t1: Target, t2: Target, order: int, pairs: list[tuple[bytes, str]]
+    emit_dir: str, t1: Target, t2: Target, order: int, lines: list[str]
 ) -> None:
     os.makedirs(emit_dir, exist_ok=True)
     path = os.path.join(emit_dir, archive_filename(t1, t2, order))
-    pairs.sort()
+    lines.sort()  # a canonical graph's graph6 packs its key's bits in key order
     with open(path, "w", encoding="ascii") as fh:
-        fh.writelines(g6 + "\n" for _, g6 in pairs)
+        fh.writelines(g6 + "\n" for g6 in lines)

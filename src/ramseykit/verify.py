@@ -35,10 +35,20 @@ class Report:
     def add(self, text: str) -> None:
         self.lines.append(text)
 
-    def require(self, ok: bool, text: str) -> None:
-        self.lines.append(f"{text}: {'ok' if ok else 'FAILED'}")
-        if not ok:
-            self.passed = False
+    def require(self, ok: bool | None, text: str) -> None:
+        """A check's line; None leaves it unknown, as a budget overrun does."""
+        word = {True: "ok", False: "FAILED", None: "unknown, over the conflict budget"}[ok]
+        self.lines.append(f"{text}: {word}")
+        self.passed &= ok is not False
+
+    def split(self, g: Graph, targets: list[Target], max_conflicts: int | None):
+        """``is_splittable(g, targets)``, or (None, None) when it overruns
+        ``max_conflicts``; the first overrun is kept and the report goes on."""
+        try:
+            return is_splittable(g, targets, max_conflicts=max_conflicts)
+        except BudgetExceededError as exc:
+            self.overrun = self.overrun or exc
+            return None, None
 
     def __str__(self) -> str:
         out = [f"ramseykit {__version__}", f"verify {self.name}"]
@@ -145,7 +155,8 @@ def verify_figure(which: str) -> Report:
 
 
 def verify_schlafli(max_conflicts: int | None = None) -> Report:
-    """Regularity oracle plus both splittability facts for the Schläfli graph."""
+    """Regularity oracle plus both splittability facts for the Schläfli graph;
+    a split over ``max_conflicts`` reads unknown and the other checks run."""
     rep = Report("schlafli")
     g = schlafli()
     j4, j7, k3 = clique_minus_edge(4), clique_minus_edge(7), clique(3)
@@ -153,21 +164,19 @@ def verify_schlafli(max_conflicts: int | None = None) -> Report:
     rep.require(is_strongly_regular(g, 10, 1, 5), "strongly regular (27,10,1,5)")
     rep.require(is_good(g, j4, j7), "(J4,J7;27)-good")
     rep.add(f"J4 copies: {len(list_copies(g, j4))}")
-    ok, witness = is_splittable(g, [j4, j4], max_conflicts=max_conflicts)
+    ok, witness = rep.split(g, [j4, j4], max_conflicts)
     rep.require(ok, "splits into two J4-free graphs")
     if witness is not None:
-        halves_ok = not any(contains(half, j4) for half in witness)
-        rep.require(halves_ok, "split witness validated")
+        rep.require(not any(contains(h, j4) for h in witness), "split witness validated")
     comp = complement(g)
-    comp_ok, comp_witness = is_splittable(comp, [j4, j4], max_conflicts=max_conflicts)
+    comp_ok, comp_witness = rep.split(comp, [j4, j4], max_conflicts)
     rep.require(comp_ok, "complement splits into two J4-free graphs")
     if comp_witness is not None:
-        verdict = coloring_is_valid(compose_coloring(g, comp_witness), [j4, j4, j4])
-        rep.require(
-            verdict.valid, "graph plus complement split is a (J4,J4,J4;27)-coloring"
-        )
-    comp_ok, _ = is_splittable(comp, [k3, j4], max_conflicts=max_conflicts)
-    rep.require(not comp_ok, "complement is unsplittable for (K3, J4)")
+        valid = coloring_is_valid(compose_coloring(g, comp_witness), [j4, j4, j4]).valid
+        rep.require(valid, "graph plus complement split is a (J4,J4,J4;27)-coloring")
+    comp_ok, _ = rep.split(comp, [k3, j4], max_conflicts)
+    unsplit = None if comp_ok is None else not comp_ok
+    rep.require(unsplit, "complement is unsplittable for (K3, J4)")
     return rep
 
 
@@ -195,13 +204,8 @@ def verify_split_pipeline(
             if f.n != order:
                 raise ValueError(f"archive graph has order {f.n}, expected {order}")
             loaded += 1
-            g = complement(f)
-            try:
-                ok, witness = is_splittable(g, [k3, j4], max_conflicts=max_conflicts)
-            except BudgetExceededError as exc:
-                over_budget += 1
-                rep.overrun = rep.overrun or exc
-                continue
+            ok, witness = rep.split(complement(f), [k3, j4], max_conflicts)
+            over_budget += ok is None
             if not ok:
                 continue
             splittable += 1

@@ -10,7 +10,11 @@ from oracles import (
 )
 from ramseykit.canon import are_isomorphic, canon_raw, canonical_form
 from ramseykit.constructions import two_k3
+from ramseykit.enumeration import extend_level
 from ramseykit.graphs import Graph
+from ramseykit.targets import clique
+
+K9 = clique(9)
 
 
 def test_relabeling_invariance_c5():
@@ -155,9 +159,14 @@ def with_twins(rng, g):
 
 def test_generator_orbits_match_brute_force():
     # canonical augmentation relies on the generators giving whole orbits;
-    # the closure must also be exactly the automorphism group
+    # the closure must also be exactly the automorphism group, hence of its
+    # order, on every class to order 6 as well as on random graphs
     rng = random.Random(2024)
-    graphs = []
+    level, graphs = [Graph.empty(1)], []
+    for _ in range(6):  # every class to order 6 (K9 is out of reach), relabeled
+        graphs += [shuffled(rng, g) for g in level]
+        level = extend_level(level, K9, K9)
+    assert len(graphs) == 1 + 2 + 4 + 11 + 34 + 156
     for _ in range(1000):
         n = rng.randint(1, 7)
         graphs.append(random_graph(rng, n, rng.choice([0.1, 0.3, 0.5, 0.7, 0.9])))

@@ -228,7 +228,7 @@ def key_hex(g):
     return canon_raw(g.n, g.adj)[0].hex()
 
 
-@pytest.mark.parametrize("command", ["arrow", "split", "verify"])
+@pytest.mark.parametrize("command", ["arrow", "split"])
 def test_conflict_budget_exits_3_with_empty_stdout(command, tmp_path):
     from ramseykit.targets import clique_minus_edge
 
@@ -237,12 +237,23 @@ def test_conflict_budget_exits_3_with_empty_stdout(command, tmp_path):
     argv = {
         "arrow": ["arrow", "--graph", str(path), "--targets", "K3e,J4"],
         "split": ["split", "--input", str(path), "--targets", "K3e,J4", "--jobs", "1"],
-        "verify": ["verify", "schlafli"],
     }[command]
     proc = run_cli(argv + ["--max-conflicts", "1"])
-    # split gives the overrun host an UNKNOWN line; the others print nothing
+    # split gives the overrun host an UNKNOWN line; arrow prints nothing
     out = f"{key_hex(clique_minus_edge(7).pattern())} UNKNOWN\n" if command == "split" else ""
     assert (proc.returncode, proc.stdout, proc.stderr) == (3, out, BUDGET_ERROR)
+
+
+def test_verify_schlafli_overrun_reports_the_finished_checks():
+    # each split that overruns reads unknown; the checks around it still run
+    proc = run_cli(["verify", "schlafli", "--max-conflicts", "1"])
+    assert (proc.returncode, proc.stderr) == (3, BUDGET_ERROR)
+    lines = [line.strip() for line in proc.stdout.splitlines()]
+    assert "strongly regular (27,10,1,5): ok" in lines
+    assert "(J4,J7;27)-good: ok" in lines
+    unknown = [line for line in lines if line.endswith(": unknown, over the conflict budget")]
+    assert unknown and "FAILED" not in proc.stdout
+    assert lines[-1] == "result: PASS"
 
 
 def test_verify_split_pipeline_overrun_reports_the_finished_hosts(tmp_path):

@@ -3,7 +3,13 @@ import random
 
 import pytest
 
-from oracles import all_graphs, naive_extensions, relabeled, without_vertex
+from oracles import (
+    all_graphs,
+    brute_automorphisms,
+    naive_extensions,
+    relabeled,
+    without_vertex,
+)
 from ramseykit import enumeration, targets
 from ramseykit.canon import canon_raw, canonical_form
 from ramseykit.detect import is_good
@@ -16,6 +22,7 @@ from ramseykit.enumeration import (
     enumerate_good,
     extend_level,
 )
+from ramseykit.graph6 import emit_graph6
 from ramseykit.graphs import Graph
 
 K3 = targets.clique(3)
@@ -254,7 +261,7 @@ def test_records_carry_generators_over_their_own_labels(pair, n):
     level = [_ClassRec((0,), (0,), ())]
     checked = 0
     for _ in range(n - 1):
-        children = [item for rec in level for item in _children(rec, t1, t2).items()]
+        children = [item for rec in level for item in _children(rec, t1, t2)]
         for key, rec in children:
             g = Graph(len(rec.adj), rec.adj)
             assert canon_raw(g.n, g.adj)[:2] == (key, rec.order)
@@ -265,34 +272,57 @@ def test_records_carry_generators_over_their_own_labels(pair, n):
     assert checked > 500
 
 
-@pytest.mark.parametrize("cap", [0, 1])
-def test_orbit_cap_stops_the_search_and_keeps_the_mask(cap, monkeypatch):
+def test_orbit_min_follows_the_orbit_past_larger_masks():
     # the 3-cycle 0 -> 1 -> 2 -> 0 on bits: mask 0b010 maps to 0b100, then
-    # to 0b001, which is smaller; a cap of one orbit member stops first
+    # to 0b001, which is smaller
     gens = [(1, 2, 0)]
     assert not _orbit_min(0b010, gens)
     assert _orbit_min(0b001, gens)
-    monkeypatch.setattr(enumeration, "_ORBIT_CAP", cap)
-    assert _orbit_min(0b010, gens)
+
+
+def test_orbit_min_is_exact_on_every_mask():
+    # s passes exactly when no automorphism maps it to a smaller mask
+    for n in range(1, 6):
+        for g in all_graphs(n):
+            gens = canon_raw(g.n, g.adj)[2]
+            autos = brute_automorphisms(g)
+            for s in range(1 << n):
+                images = [sum(1 << p[v] for v in range(n) if s >> v & 1) for p in autos]
+                assert _orbit_min(s, gens) == (s == min(images))
 
 
 @pytest.mark.parametrize("pair, n", [("K3,J7", 9), ("K4,K4", 8), ("K9,K9", 7)])
-@pytest.mark.parametrize("cap", [0, 1])
-def test_orbit_cap_only_bounds_pruning(pair, n, cap, monkeypatch, tmp_path):
-    # a capped orbit search keeps a candidate it could not rule out, so
-    # more children reach the labeler, but the keys and the deletion test
-    # still leave one representative per class: the archives do not change
+def test_children_of_a_parent_have_distinct_keys(pair, n):
+    # no per-parent dedupe: the exact orbit test alone keeps one S per class
     t1, t2 = targets.parse_target_list(pair)
-    calls = [0]
-    label = enumeration.canon_raw
+    level = [_ClassRec((0,), (0,), ())]
+    for _ in range(n - 1):
+        children = []
+        for rec in level:
+            mine = _children(rec, t1, t2)
+            assert len({key for key, _ in mine}) == len(mine)
+            children += mine
+        assert len({key for key, _ in children}) == len(children)
+        level = [rec for _, rec in children]
+    assert level
 
-    def counted(*args):
-        calls[0] += 1
-        return label(*args)
 
-    monkeypatch.setattr(enumeration, "canon_raw", counted)
-    expect = archive_digest(t1, t2, n, tmp_path / "default")
-    uncapped = calls[0]
-    monkeypatch.setattr(enumeration, "_ORBIT_CAP", cap)
-    assert archive_digest(t1, t2, n, tmp_path / "capped") == expect
-    assert calls[0] - uncapped > uncapped
+@pytest.mark.parametrize("pair, n", [("K3,J7", 9), ("K9,K9", 6)])
+def test_graph6_text_order_is_key_order(pair, n):
+    # archives sort graph6 lines as text: a canonical graph's graph6 data
+    # bits are its key's bits, so text order and key order agree
+    t1, t2 = targets.parse_target_list(pair)
+    level = [Graph.empty(1)]
+    for order in range(1, n + 1):
+        if order > 1:
+            level = extend_level(level, t1, t2)
+        keys = [canonical_form(g) for g in level]
+        lines = [emit_graph6(g) for g in level]
+        assert [line for _, line in sorted(zip(keys, lines))] == sorted(lines)
+        m = order * (order - 1) // 2
+        for key, line in zip(keys, lines):
+            assert key[0] == order and ord(line[0]) - 63 == order
+            key_bits = "".join(f"{b:08b}" for b in key[1:])
+            line_bits = "".join(f"{ord(c) - 63:06b}" for c in line[1:])
+            assert key_bits[:m] == line_bits[:m]
+            assert set(key_bits[m:] + line_bits[m:]) <= {"0"}

@@ -291,6 +291,70 @@ def test_orbit_min_is_exact_on_every_mask():
                 assert _orbit_min(s, gens) == (s == min(images))
 
 
+def capped_orbit_min(cap):
+    """An orbit test that gives up after ``cap`` orbit members and keeps the
+    mask: it never drops a least member, but it is not exact."""
+
+    def orbit_min(s, gens):
+        seen = {s}
+        stack = [s]
+        while stack:
+            cur = stack.pop()
+            for g in gens:
+                img = sum(1 << g[v] for v in range(len(g)) if cur >> v & 1)
+                if img < s:
+                    return False
+                if img not in seen:
+                    if len(seen) >= cap:
+                        return True
+                    seen.add(img)
+                    stack.append(img)
+        return True
+
+    return orbit_min
+
+
+@pytest.mark.parametrize("cap", [0, 1])
+def test_orbit_cap_stops_the_search_and_keeps_the_mask(cap):
+    # on the 3-cycle, a search capped at one orbit member stops before it
+    # reaches 0b001 and keeps 0b010; the enumerator's search has no cap
+    gens = [(1, 2, 0)]
+    assert capped_orbit_min(cap)(0b010, gens)
+    assert not _orbit_min(0b010, gens)
+    assert capped_orbit_min(cap)(0b001, gens) and _orbit_min(0b001, gens)
+
+
+@pytest.mark.parametrize("pair, n", [("K3,J7", 9), ("K4,K4", 8), ("K9,K9", 7)])
+@pytest.mark.parametrize("cap", [0, 1])
+def test_orbit_cap_only_bounds_pruning(pair, n, cap, monkeypatch, tmp_path):
+    # a capped orbit search keeps candidates it could not rule out: more
+    # children reach the labeler and some class comes through twice, but
+    # the deletion test still finds every class and no other. The orbit
+    # test only prunes work; its exactness is what keeps the lines distinct
+    t1, t2 = targets.parse_target_list(pair)
+    calls = [0]
+    label = enumeration.canon_raw
+
+    def counted(*args):
+        calls[0] += 1
+        return label(*args)
+
+    monkeypatch.setattr(enumeration, "canon_raw", counted)
+    enumerate_good(t1, t2, n, emit_dir=str(tmp_path / "exact"))
+    exact_calls = calls[0]
+    monkeypatch.setattr(enumeration, "_orbit_min", capped_orbit_min(cap))
+    enumerate_good(t1, t2, n, emit_dir=str(tmp_path / "capped"))
+    assert calls[0] - exact_calls > exact_calls
+    repeats = 0
+    for k in range(1, n + 1):
+        name = archive_filename(t1, t2, k)
+        exact = (tmp_path / "exact" / name).read_text().splitlines()
+        capped = (tmp_path / "capped" / name).read_text().splitlines()
+        assert sorted(set(capped)) == exact
+        repeats += len(capped) - len(exact)
+    assert repeats > 0
+
+
 @pytest.mark.parametrize("pair, n", [("K3,J7", 9), ("K4,K4", 8), ("K9,K9", 7)])
 def test_children_of_a_parent_have_distinct_keys(pair, n):
     # no per-parent dedupe: the exact orbit test alone keeps one S per class

@@ -27,13 +27,14 @@ def _refine(adj: tuple[int, ...], cells: list[int], queue: list[int]) -> list[in
 
     The parts of a split cell go in ascending count, and all but the last
     join the queue. The callers pass the whole vertex set as its own
-    splitter, or an equitable partition less one vertex v with {v} as the
-    splitter; either way, by the last part's turn every cell has one count
-    towards the split cell and towards each other part, hence towards the
-    last part too, which would split nothing. A one-vertex splitter cuts
-    each cell into its non-neighbours and neighbours, and the cell list is
-    copied only once a cell splits. Refinement stops once every cell is a
-    singleton.
+    splitter, the degree partition that this splitter yields with all its
+    parts but the last, or an equitable partition less one vertex v with
+    {v} as the splitter. In each case, by the last part's turn every cell
+    has one count towards the split cell and towards each other part,
+    hence towards the last part too, which would split nothing. A
+    one-vertex splitter cuts each cell into its non-neighbours and
+    neighbours, and the cell list is copied only once a cell splits.
+    Refinement stops once every cell is a singleton.
     """
     size = sum(cells).bit_count()  # the cells are disjoint
     qi = 0
@@ -113,9 +114,10 @@ class _Search:
         self.gens = _twin_swaps(adj)
         self.best_epoch = 0
 
-    def run(self) -> None:
-        full = (1 << self.n) - 1
-        cells = _refine(self.adj, [full], [full])
+    def run(self, cells: list[int] | None) -> None:
+        if cells is None:
+            full = (1 << self.n) - 1
+            cells = _refine(self.adj, [full], [full])
         self._rec(cells, False)
 
     def _column(self, v: int) -> int:
@@ -221,18 +223,30 @@ def _pack_key(n: int, cols: list[int]) -> bytes:
     return bytes([n]) + (acc << pad).to_bytes((bits + pad) // 8, "big")
 
 
-def canon_raw(n: int, adj: tuple[int, ...]):
+def root_cells(adj: tuple[int, ...], parts: list[int]) -> list[int]:
+    """The root partition of ``canon_raw``'s search, from the degree partition.
+
+    ``parts`` are the nonempty degree classes in ascending degree, the
+    first split of the whole vertex set against itself. Automorphisms fix
+    each root cell, and every labeling places the cells in order.
+    """
+    return _refine(adj, parts, parts[:-1])
+
+
+def canon_raw(n: int, adj: tuple[int, ...], cells: list[int] | None = None):
     """Canonical key, labeling and automorphism generators for raw bitsets.
 
     Returns ``(key, order, gens)`` where ``order[i]`` is the original vertex
     placed at canonical position i and ``gens``, over the original labels,
     generate the automorphism group: the twin transpositions seeded before
-    the search, then the automorphisms its leaves found.
+    the search, then the automorphisms its leaves found. ``cells``, when
+    given, must be ``root_cells`` of the graph; the search starts from them
+    instead of refining its root again, and returns the same result.
     """
     if n == 0:
         return bytes([0]), (), []
     search = _Search(n, adj)
-    search.run()
+    search.run(cells)
     assert search.best_perm is not None
     key = _pack_key(n, search.best_cols)
     return key, search.best_perm, search.gens

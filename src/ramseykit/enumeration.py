@@ -20,10 +20,15 @@ and a child is kept only when its new vertex lies in the automorphism
 orbit of its canonical deletion vertex: the vertex with the largest
 (degree, sum of neighbour degrees), ties going to the lowest canonical
 position. A child whose new vertex does not have the largest invariant is
-dropped before it is built or labeled; for the rest, the labeling that
-gives the canonical key also decides the orbit test. Both tests work in
-any labels, so a class travels in the labels it was found in and is
-relabeled into canonical order once, when the enumerator emits it.
+dropped before it is built or labeled. For the rest, the child's degree
+partition follows from the parent's and S, and refining it gives the
+labeling search's root partition. The canonical deletion vertex lies in
+the first root cell that holds a tie, and automorphisms fix root cells,
+so a child whose new vertex is not in that cell is dropped before the
+search; for the others, the labeling that gives the canonical key also
+decides the orbit test. Both tests work in any labels, so a class travels
+in the labels it was found in and is relabeled into canonical order once,
+when the enumerator emits it, without validating the relabeled rows again.
 
 Every class arises once, from its one parent on that path, so the census
 is a tree and no level has to be held: ``enumerate_good`` walks it depth
@@ -40,7 +45,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Iterator, Sequence
 
-from .canon import canon_raw, orbit_closure
+from .canon import canon_raw, orbit_closure, root_cells
 from .detect import critical_sets
 from .graph6 import emit_graph6
 from .graphs import Graph, iter_bits, relabel_rows as relabel_canonical
@@ -155,7 +160,7 @@ class _ClassRec:
 
 def _canonical_graph(rec: _ClassRec) -> Graph:
     n = len(rec.adj)
-    return Graph(n, relabel_canonical(n, rec.adj, rec.order))
+    return Graph._unchecked(n, relabel_canonical(n, rec.adj, rec.order))
 
 
 def _new_vertex_ties(
@@ -211,7 +216,15 @@ def _children(rec: _ClassRec, t1: Target, t2: Target) -> list[tuple[bytes, _Clas
         child = tuple(
             (row | bit) if (s >> v) & 1 else row for v, row in enumerate(adj)
         ) + (s,)
-        key, order, gens = canon_raw(n + 1, child)
+        # the child's degree classes: the new vertex's degree k is the largest,
+        # and by_deg[-1] is by_deg[n], which is empty
+        k = s.bit_count()
+        parts = [p for d in range(k) if (p := (by_deg[d] & ~s) | (by_deg[d - 1] & s))]
+        parts.append(by_deg[k] | (by_deg[k - 1] & s) | bit)
+        cells = root_cells(child, parts)
+        if ties and not next(c for c in cells if c & (ties | bit)) & bit:
+            continue  # the canonical deletion vertex lies in the first cell meeting the ties
+        key, order, gens = canon_raw(n + 1, child, cells)
         if ties:
             # canonical deletion vertex: the tie at the lowest position
             m = next(v for v in order if (ties | bit) >> v & 1)

@@ -44,6 +44,18 @@ class Graph:
                 if not (self.adj[u] >> v) & 1:
                     raise ValueError(f"asymmetric edge {{{u}, {v}}}")
 
+    @classmethod
+    def _unchecked(cls, n: int, adj: tuple[int, ...]) -> "Graph":
+        """A graph from rows already known to be valid, without the O(E) check.
+
+        For rows the package derived from a validated graph, such as the
+        enumerator's relabeled children; outside data goes through ``Graph``.
+        """
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "adj", adj)
+        return g
+
     def has_edge(self, u: int, v: int) -> bool:
         return bool((self.adj[u] >> v) & 1)
 

@@ -8,13 +8,13 @@ from oracles import (
     random_graph,
     relabeled,
 )
-from ramseykit.canon import are_isomorphic, canon_raw, canonical_form
+from ramseykit.canon import _refine, are_isomorphic, canon_raw, canonical_form, root_cells
 from ramseykit.constructions import two_k3
 from ramseykit.enumeration import extend_level
 from ramseykit.graphs import Graph
-from ramseykit.targets import clique
+from ramseykit.targets import clique, clique_minus_edge
 
-K9 = clique(9)
+K3, J7, K9 = clique(3), clique_minus_edge(7), clique(9)
 
 
 def test_relabeling_invariance_c5():
@@ -203,4 +203,46 @@ def test_labeling_search_path_is_pinned():
         key, order, _ = canon_raw(g.n, g.adj)
         digest.update(key + bytes(order))
     assert len(graphs) == 231
+    assert digest.hexdigest() == "2d4cdfae6bfff1d8932996a6e5568c206898653183787b4fb21a1646922d7213"
+
+
+def degree_parts(g):
+    """The nonempty degree classes of ``g`` as masks, in ascending degree."""
+    by_deg = {}
+    for v, row in enumerate(g.adj):
+        by_deg[row.bit_count()] = by_deg.get(row.bit_count(), 0) | 1 << v
+    return [by_deg[d] for d in sorted(by_deg)]
+
+
+def test_search_from_the_refined_degree_partition_is_the_same_search():
+    # the enumerator hands canon_raw the root partition it refined from the
+    # degree classes; it must be the partition canon_raw reaches alone, and
+    # the search from it must give the same key, labeling and generators
+    # (hence the same group). The graphs are those of the pinned test
+    # above, whose digest they reproduce, and every (K3, J7) class to order 8
+    rng = random.Random(8)
+    graphs = []
+    for n in range(1, 17):
+        graphs += [random_graph(rng, n, p) for p in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)]
+    for n in range(1, 14):
+        graphs += [Graph.empty(n), Graph.complete(n)]
+        graphs.append(Graph.from_edges(n, [(0, v) for v in range(1, n)]))
+        graphs += [complete_multipartite((a, n - a)) for a in range(1, n // 2 + 1)]
+    for sizes in [(2, 2, 2), (1, 2, 3, 4), (3, 3, 3), (2,) * 5, (1, 1, 3, 4), (2, 3, 5)]:
+        graphs.append(complete_multipartite(sizes))
+    graphs = [shuffled(rng, g) for g in graphs]
+    digest = hashlib.sha256()
+    level = [Graph.empty(1)]
+    for _ in range(8):
+        graphs += [shuffled(rng, g) for g in level]
+        level = extend_level(level, K3, J7)
+    assert len(graphs) == 231 + 562
+    for i, g in enumerate(graphs):
+        full = (1 << g.n) - 1
+        cells = root_cells(g.adj, degree_parts(g))
+        assert cells == _refine(g.adj, [full], [full])
+        result = canon_raw(g.n, g.adj, cells)
+        assert result == canon_raw(g.n, g.adj)
+        if i < 231:
+            digest.update(result[0] + bytes(result[1]))
     assert digest.hexdigest() == "2d4cdfae6bfff1d8932996a6e5568c206898653183787b4fb21a1646922d7213"

@@ -11,18 +11,19 @@ from oracles import (
     without_vertex,
 )
 from ramseykit import enumeration, targets
-from ramseykit.canon import canon_raw, canonical_form
+from ramseykit.canon import canon_raw, canonical_form, orbit_closure
 from ramseykit.detect import is_good
 from ramseykit.enumeration import (
     _ClassRec,
     _children,
     _extensions,
+    _new_vertex_ties,
     _orbit_min,
     archive_filename,
     enumerate_good,
     extend_level,
 )
-from ramseykit.graph6 import emit_graph6
+from ramseykit.graph6 import emit_graph6, parse_graph6
 from ramseykit.graphs import Graph
 
 K3 = targets.clique(3)
@@ -390,3 +391,84 @@ def test_graph6_text_order_is_key_order(pair, n):
             line_bits = "".join(f"{ord(c) - 63:06b}" for c in line[1:])
             assert key_bits[:m] == line_bits[:m]
             assert set(key_bits[m:] + line_bits[m:]) <= {"0"}
+
+
+def labeling_children(rec, t1, t2):
+    """A child step that labels every candidate passing the tie and orbit
+    tests and reads the deletion test off the labeling alone. Returns its
+    children and the number of labelings."""
+    adj = rec.adj
+    n = len(adj)
+    bit = 1 << n
+    deg = [row.bit_count() for row in adj]
+    nsum = [sum(deg[u] for u in range(n) if row >> u & 1) for row in adj]
+    by_deg = [sum(1 << v for v in range(n) if deg[v] == d) for d in range(n + 1)]
+    out, labeled = [], 0
+    for s in _extensions(adj, n, t1, t2):
+        ties = _new_vertex_ties(adj, deg, nsum, by_deg, max(deg), s)
+        if ties is None or not _orbit_min(s, rec.gens):
+            continue
+        child = tuple(row | bit if s >> v & 1 else row for v, row in enumerate(adj)) + (s,)
+        key, order, gens = canon_raw(n + 1, child)
+        labeled += 1
+        m = next(v for v in order if (ties | bit) >> v & 1)
+        if m == n or n in orbit_closure([m], gens):
+            out.append((key, _ClassRec(child, order, tuple(gens))))
+    return out, labeled
+
+
+def test_root_partition_refuses_only_children_the_labeling_refuses(monkeypatch):
+    # _children refuses a child before labeling it when the first root cell
+    # meeting the ties lacks the new vertex: it must keep the same children,
+    # with the same keys, labelings and generators, while labeling fewer
+    calls = [0]
+    label = enumeration.canon_raw
+
+    def counted(*args):
+        calls[0] += 1
+        return label(*args)
+
+    monkeypatch.setattr(enumeration, "canon_raw", counted)
+    refused = {}
+    for pair, n in [("K3,J7", 9), ("K4,K4", 8), ("K3e,J4", 7), ("K9,K9", 6)]:
+        t1, t2 = targets.parse_target_list(pair)
+        level = [_ClassRec((0,), (0,), ())]
+        calls[0] = labeled = 0
+        for _ in range(n - 1):
+            children = []
+            for rec in level:
+                mine = _children(rec, t1, t2)
+                want, count = labeling_children(rec, t1, t2)
+                assert mine == want
+                labeled += count
+                children += mine
+            level = [rec for _, rec in children]
+        refused[pair] = labeled - calls[0]
+    assert min(refused.values()) >= 0
+    assert refused["K3,J7"] > 0 and refused["K4,K4"] > 0
+
+
+@pytest.mark.parametrize("pair, n", [("K3,J7", 9), ("K9,K9", 6)])
+def test_emitted_graphs_pass_the_validating_constructor(pair, n):
+    # extend_level builds its graphs without Graph's check, from rows it
+    # derived from validated ones; each must pass that check all the same
+    t1, t2 = targets.parse_target_list(pair)
+    level = [Graph.empty(1)]
+    for _ in range(n - 1):
+        level = extend_level(level, t1, t2)
+        for g in level:
+            assert type(g) is Graph and g == Graph(g.n, g.adj)
+    assert level
+    g = level[-1]
+    with pytest.raises(ValueError, match="asymmetric"):
+        Graph(g.n, g.adj[:-1] + (g.adj[-1] ^ 1,))
+
+
+def test_archive_lines_parse_back_to_their_classes(tmp_path):
+    enumerate_good(K3, J7, 9, emit_dir=str(tmp_path))
+    level = [Graph.empty(1)]
+    for k in range(1, 10):
+        if k > 1:
+            level = extend_level(level, K3, J7)
+        lines = (tmp_path / archive_filename(K3, J7, k)).read_text().splitlines()
+        assert [parse_graph6(line) for line in lines] == level

@@ -61,14 +61,9 @@ def _cmd_enumerate(args) -> int:
 
 
 def _split_one(g, targets, engine, max_conflicts):
-    """(canonical key in hex, verdict); the verdict is the budget error when
-    the host overran its conflict budget, so the later hosts still run."""
-    key = canonical_form(g)
-    try:
-        ok, _ = is_splittable(g, targets, engine=engine, max_conflicts=max_conflicts)
-    except BudgetExceededError as exc:
-        return key.hex(), exc
-    return key.hex(), ok
+    """(canonical key in hex, verdict), the verdict None over the conflict budget."""
+    ok, _ = is_splittable(g, targets, engine=engine, max_conflicts=max_conflicts)
+    return canonical_form(g).hex(), ok
 
 
 def _cmd_split(args) -> int:
@@ -88,16 +83,13 @@ def _cmd_split(args) -> int:
             import multiprocessing as mp
 
             verdicts = stack.enter_context(mp.Pool(args.jobs)).imap(solve, hosts)
-        overrun = None
-        for key_hex, verdict in verdicts:
-            if isinstance(verdict, BudgetExceededError):
-                overrun = overrun or verdict
-                word = "UNKNOWN"
-            else:
-                word = "SPLITTABLE" if verdict else "UNSPLITTABLE"
+        overrun = False
+        for key_hex, ok in verdicts:
+            overrun |= ok is None
+            word = {True: "SPLITTABLE", False: "UNSPLITTABLE", None: "UNKNOWN"}[ok]
             print(f"{key_hex} {word}", flush=True)
-    if overrun is not None:
-        raise overrun  # exit 3 once every host has its line
+    if overrun:
+        raise BudgetExceededError(args.max_conflicts)  # exit 3 once every host has its line
     return EXIT_OK
 
 
@@ -105,11 +97,11 @@ def _cmd_arrow(args) -> int:
     with _input(args.graph) as fh:
         g = parse_graph6(fh.readline())
     targets = parse_target_list(args.targets)
-    ok, witness = is_splittable(
-        g, targets, engine=args.engine, max_conflicts=args.max_conflicts
-    )
+    ok, witness = is_splittable(g, targets, engine=args.engine, max_conflicts=args.max_conflicts)
+    if ok is None:
+        raise BudgetExceededError(args.max_conflicts)
     print("SPLITTABLE" if ok else "ARROWS")
-    if ok and args.witness_out and witness is not None:
+    if ok and args.witness_out:
         _write_text(args.witness_out, witness_matrix(witness))
     return EXIT_OK
 
@@ -164,8 +156,8 @@ VERIFICATIONS = {
 def _cmd_verify(args) -> int:
     report = VERIFICATIONS[args.what](args)
     print(report)
-    if report.passed and report.overrun is not None:
-        raise report.overrun  # exit 3 once the finished parts are reported
+    if report.passed and report.overrun:
+        raise BudgetExceededError(args.max_conflicts)  # exit 3 after the report
     return EXIT_OK if report.passed else EXIT_FAIL
 
 
@@ -201,8 +193,13 @@ ENGINE_ARG = dict(
     choices=["auto", "sat", "recurse", "both"],
     default="auto",
     help="auto and sat use the SAT solver for two targets; recurse and both "
-    "(a cross-check) may not finish on 20-vertex hosts with J4 targets, "
-    "where SAT answers in about a second",
+    "(a cross-check) can run past ten minutes on 20-vertex hosts with J4 targets, "
+    "where SAT answers in about a second; --max-conflicts bounds every engine",
+)
+MAX_CONFLICTS_ARG = dict(
+    type=int,
+    help="past this many conflicts (SAT: a falsified clause; recurse: a "
+    "backtrack from an edge) the verdict is unknown and the exit code 3",
 )
 
 
@@ -227,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--targets", required=True, help="comma-separated targets, e.g. K3,J4")
     p.add_argument("--engine", **ENGINE_ARG)
     p.add_argument("--input", default="-", help="graph6 file (default: stdin)")
-    p.add_argument("--max-conflicts", type=int)
+    p.add_argument("--max-conflicts", **MAX_CONFLICTS_ARG)
     p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     p.set_defaults(func=_cmd_split)
 
@@ -235,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True, help="graph6 file, or - for stdin")
     p.add_argument("--targets", required=True)
     p.add_argument("--engine", **ENGINE_ARG)
-    p.add_argument("--max-conflicts", type=int)
+    p.add_argument("--max-conflicts", **MAX_CONFLICTS_ARG)
     p.add_argument(
         "--witness-out",
         help="on SPLITTABLE, write the witness as a matrix (0 = non-edge)",
@@ -265,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("what", choices=VERIFICATIONS)
     p.add_argument("--level", type=int, help="order for split-pipeline")
     p.add_argument("--archive", help="directory holding enumeration archives")
-    p.add_argument("--max-conflicts", type=int)
+    p.add_argument("--max-conflicts", **MAX_CONFLICTS_ARG)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("named", help="emit a named graph as graph6")

@@ -30,7 +30,10 @@ _UNSET, _TRUE, _FALSE = 0, 1, 2
 
 
 class BudgetExceededError(RuntimeError):
-    """The conflict budget ran out before a decision was reached."""
+    """The conflict budget, the one argument, ran out before a decision."""
+
+    def __str__(self) -> str:
+        return f"conflict budget {self.args[0]} exhausted"
 
 
 @dataclass
@@ -298,9 +301,7 @@ class _Cdcl:
                 conflicts += 1
                 since_restart += 1
                 if max_conflicts is not None and conflicts > max_conflicts:
-                    raise BudgetExceededError(
-                        f"conflict budget {max_conflicts} exhausted"
-                    )
+                    raise BudgetExceededError(max_conflicts)
                 if not self.trail_lim:
                     return None
                 learnt, back, lbd = self._analyze(conflict)

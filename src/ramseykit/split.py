@@ -40,7 +40,7 @@ from .canon import canon_raw
 from .coloring import EdgeColoring, matrix_text, pair_index
 from .detect import list_copies
 from .graphs import Graph, iter_bits
-from .sat import CnfFormula, sat_solve
+from .sat import BudgetExceededError, CnfFormula, sat_solve
 from .targets import Target
 
 Edge = tuple[int, int]
@@ -124,7 +124,9 @@ def lex_leader_cnf(f: CnfFormula, perms: Sequence[tuple[int, ...]]) -> CnfFormul
     return out
 
 
-def recursive_split(g: Graph, targets: Sequence[Target]) -> tuple[Graph, ...] | None:
+def recursive_split(
+    g: Graph, targets: Sequence[Target], max_conflicts: int | None = None
+) -> tuple[Graph, ...] | None:
     """Backtracking edge colorer: one color class per target, class i free
     of target i, or None exactly when ``g`` arrows the targets.
 
@@ -138,7 +140,8 @@ def recursive_split(g: Graph, targets: Sequence[Target]) -> tuple[Graph, ...] | 
     one frame per colored edge, so no host is too large for Python's
     recursion limit. The next edge is the one the most colors forbid, ties
     by lowest index; colors go in order, and repeated targets are broken
-    by first use.
+    by first use. A frame that runs out of colors is a conflict; past
+    ``max_conflicts`` of them it raises :class:`BudgetExceededError`.
     """
     if not 1 <= len(targets) <= 4:
         raise ValueError("between 1 and 4 targets required")
@@ -171,12 +174,16 @@ def recursive_split(g: Graph, targets: Sequence[Target]) -> tuple[Graph, ...] | 
 
     # one frame per colored edge: [done, forbid, picked edge bit, next color]
     stack = [[0, forbid, pick(0, forbid), 0]]
+    conflicts = 0
     while stack:
         frame = stack[-1]
         done, forbid, bit, c = frame
         while c < m and (forbid[c] & bit or (first_use[c] and not col[c - 1])):
             c += 1
         if c == m:
+            conflicts += 1
+            if max_conflicts is not None and conflicts > max_conflicts:
+                raise BudgetExceededError(max_conflicts)
             stack.pop()
             if stack:
                 parent = stack[-1]
@@ -204,43 +211,45 @@ def is_splittable(
     targets: Sequence[Target],
     engine: str = "auto",
     max_conflicts: int | None = None,
-) -> tuple[bool, tuple[Graph, ...] | None]:
-    """Decide splittability; returns (verdict, witness or None).
+) -> tuple[bool | None, tuple[Graph, ...] | None]:
+    """(verdict, witness or None) for a split, or (None, None) past ``max_conflicts``.
 
     A witness is one :class:`Graph` per target on ``g``'s vertices; class i
     holds the edges of color i, avoids target i, and the classes partition
     ``g``'s edges. An edgeless ``g`` splits into edgeless classes.
 
     Two targets may use either engine ("sat", "recurse", or "both" to
-    cross-check agreement); more colors always recurse. The SAT engine
-    labels ``g`` once with :func:`canon_raw` and solves the copy clauses
-    plus one lex-leader chain per automorphism generator
-    (:func:`lex_leader_cnf`), so ``max_conflicts`` counts the conflicts of
-    that broken formula. A witness is read from the edge variables of its
-    model, which is also a model of the unbroken formula: variable v + 1
-    true puts ``g.edges()[v]`` in class 1, false in class 0.
+    cross-check agreement, unknown when either overruns); more colors
+    always recurse. The SAT engine labels ``g`` once with :func:`canon_raw`
+    and solves the copy clauses plus one lex-leader chain per automorphism
+    generator (:func:`lex_leader_cnf`), so ``max_conflicts`` counts the
+    conflicts of that broken formula. A witness is read from the edge
+    variables of its model, which is also a model of the unbroken formula:
+    variable v + 1 true puts ``g.edges()[v]`` in class 1, false in class 0.
     """
     if engine not in ("auto", "sat", "recurse", "both"):
         raise ValueError(f"unknown engine {engine!r}")
     if engine in ("sat", "both") and len(targets) != 2:
         raise ValueError("the SAT engine handles exactly two targets")
-    if engine == "recurse" or len(targets) != 2 or g.edge_count == 0:
-        w = recursive_split(g, targets)
-        return (w is not None), w
-    f = encode_split_cnf(g, targets[0], targets[1])
-    broken = lex_leader_cnf(f, edge_automorphisms(g, f.edges))
-    model = sat_solve(broken, max_conflicts=max_conflicts)
-    witness = None
-    if model is not None:
-        halves: tuple[list[Edge], list[Edge]] = ([], [])
-        for e, x in zip(f.edges, model):  # zip stops at the chains' variables
-            halves[x].append(e)
-        witness = tuple(Graph.from_edges(g.n, h) for h in halves)
-    if engine == "both":
-        other = recursive_split(g, targets)
-        if (other is None) != (model is None):
-            raise RuntimeError("SAT and recursive engines disagree")
-    return (model is not None), witness
+    try:
+        if engine == "recurse" or len(targets) != 2 or g.edge_count == 0:
+            w = recursive_split(g, targets, max_conflicts)
+            return (w is not None), w
+        f = encode_split_cnf(g, targets[0], targets[1])
+        broken = lex_leader_cnf(f, edge_automorphisms(g, f.edges))
+        model = sat_solve(broken, max_conflicts=max_conflicts)
+        if engine == "both":
+            other = recursive_split(g, targets, max_conflicts)
+            if (other is None) != (model is None):
+                raise RuntimeError("SAT and recursive engines disagree")
+    except BudgetExceededError:
+        return None, None
+    if model is None:
+        return False, None
+    halves: tuple[list[Edge], list[Edge]] = ([], [])
+    for e, x in zip(f.edges, model):  # zip stops at the chains' variables
+        halves[x].append(e)
+    return True, tuple(Graph.from_edges(g.n, h) for h in halves)
 
 
 def witness_matrix(witness: Sequence[Graph]) -> str:

@@ -19,7 +19,6 @@ from .detect import coloring_is_valid, contains, is_good, list_copies
 from .enumeration import archive_filename, enumerate_good, extend_level
 from .graph6 import iter_graph6
 from .graphs import Graph, complement
-from .sat import BudgetExceededError
 from .split import compose_coloring, is_splittable
 from .targets import Target, clique, clique_minus_edge, cycle, triangle_plus_pendant
 
@@ -29,8 +28,8 @@ class Report:
     name: str
     passed: bool = True
     lines: list[str] = field(default_factory=list)
-    # the first budget overrun of a part left undecided; the rest still ran
-    overrun: BudgetExceededError | None = None
+    # set once a part is left unknown, over the conflict budget; the rest still ran
+    overrun: bool = False
 
     def add(self, text: str) -> None:
         self.lines.append(text)
@@ -40,15 +39,7 @@ class Report:
         word = {True: "ok", False: "FAILED", None: "unknown, over the conflict budget"}[ok]
         self.lines.append(f"{text}: {word}")
         self.passed &= ok is not False
-
-    def split(self, g: Graph, targets: list[Target], max_conflicts: int | None):
-        """``is_splittable(g, targets)``, or (None, None) when it overruns
-        ``max_conflicts``; the first overrun is kept and the report goes on."""
-        try:
-            return is_splittable(g, targets, max_conflicts=max_conflicts)
-        except BudgetExceededError as exc:
-            self.overrun = self.overrun or exc
-            return None, None
+        self.overrun |= ok is None
 
     def __str__(self) -> str:
         out = [f"ramseykit {__version__}", f"verify {self.name}"]
@@ -164,17 +155,17 @@ def verify_schlafli(max_conflicts: int | None = None) -> Report:
     rep.require(is_strongly_regular(g, 10, 1, 5), "strongly regular (27,10,1,5)")
     rep.require(is_good(g, j4, j7), "(J4,J7;27)-good")
     rep.add(f"J4 copies: {len(list_copies(g, j4))}")
-    ok, witness = rep.split(g, [j4, j4], max_conflicts)
+    ok, witness = is_splittable(g, [j4, j4], max_conflicts=max_conflicts)
     rep.require(ok, "splits into two J4-free graphs")
     if witness is not None:
         rep.require(not any(contains(h, j4) for h in witness), "split witness validated")
     comp = complement(g)
-    comp_ok, comp_witness = rep.split(comp, [j4, j4], max_conflicts)
+    comp_ok, comp_witness = is_splittable(comp, [j4, j4], max_conflicts=max_conflicts)
     rep.require(comp_ok, "complement splits into two J4-free graphs")
     if comp_witness is not None:
         valid = coloring_is_valid(compose_coloring(g, comp_witness), [j4, j4, j4]).valid
         rep.require(valid, "graph plus complement split is a (J4,J4,J4;27)-coloring")
-    comp_ok, _ = rep.split(comp, [k3, j4], max_conflicts)
+    comp_ok, _ = is_splittable(comp, [k3, j4], max_conflicts=max_conflicts)
     unsplit = None if comp_ok is None else not comp_ok
     rep.require(unsplit, "complement is unsplittable for (K3, J4)")
     return rep
@@ -189,7 +180,7 @@ def verify_split_pipeline(
     enumeration. Each splittable member yields a (K3,K3,J4;order)-coloring
     through composition, which is revalidated. A host that overruns
     ``max_conflicts`` counts as unknown and the later hosts still run; the
-    report then counts those hosts and keeps the first overrun.
+    report then counts those hosts and is marked as overrun.
     """
     rep = Report("split-pipeline")
     k3, j4, j7 = clique(3), clique_minus_edge(4), clique_minus_edge(7)
@@ -204,7 +195,7 @@ def verify_split_pipeline(
             if f.n != order:
                 raise ValueError(f"archive graph has order {f.n}, expected {order}")
             loaded += 1
-            ok, witness = rep.split(complement(f), [k3, j4], max_conflicts)
+            ok, witness = is_splittable(complement(f), [k3, j4], max_conflicts=max_conflicts)
             over_budget += ok is None
             if not ok:
                 continue
@@ -216,5 +207,6 @@ def verify_split_pipeline(
     rep.add(f"splittable under (K3, J4): {splittable}")
     if over_budget:
         rep.add(f"over the conflict budget, verdict unknown: {over_budget}")
+        rep.overrun = True
     rep.require(bad_compositions == 0, "all compositions are (K3,K3,J4)-colorings")
     return rep

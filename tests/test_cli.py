@@ -228,8 +228,15 @@ def key_hex(g):
     return canon_raw(g.n, g.adj)[0].hex()
 
 
-@pytest.mark.parametrize("command", ["arrow", "split"])
-def test_conflict_budget_exits_3_with_empty_stdout(command, tmp_path):
+@pytest.mark.parametrize(
+    "command, engine",
+    [
+        pytest.param(command, engine, id=command if engine == "auto" else f"{command}-{engine}")
+        for command in ["arrow", "split"]
+        for engine in ["auto", "recurse", "both"]
+    ],
+)
+def test_conflict_budget_exits_3_with_empty_stdout(command, engine, tmp_path):
     from ramseykit.targets import clique_minus_edge
 
     path = tmp_path / "j7.g6"
@@ -238,10 +245,26 @@ def test_conflict_budget_exits_3_with_empty_stdout(command, tmp_path):
         "arrow": ["arrow", "--graph", str(path), "--targets", "K3e,J4"],
         "split": ["split", "--input", str(path), "--targets", "K3e,J4", "--jobs", "1"],
     }[command]
-    proc = run_cli(argv + ["--max-conflicts", "1"])
+    proc = run_cli(argv + ["--engine", engine, "--max-conflicts", "1"])
     # split gives the overrun host an UNKNOWN line; arrow prints nothing
     out = f"{key_hex(clique_minus_edge(7).pattern())} UNKNOWN\n" if command == "split" else ""
     assert (proc.returncode, proc.stdout, proc.stderr) == (3, out, BUDGET_ERROR)
+
+
+def test_engine_both_over_budget_on_a_figure_sized_host_exits_3(tmp_path):
+    # the recursive colorer runs for over ten minutes on this 20-vertex
+    # host; its budget turns that into an unknown, and the timeout a hang
+    # into a failure
+    from ramseykit.coloring import color_class
+    from ramseykit.constructions import figure_coloring
+    from ramseykit.graphs import complement
+
+    path = tmp_path / "fig3.g6"
+    path.write_text(emit_graph6(complement(color_class(figure_coloring("FIG3"), 0))) + "\n")
+    argv = ["arrow", "--graph", str(path), "--targets", "J4,J4", "--engine", "both"]
+    proc = run_cli(argv + ["--max-conflicts", "50000"], timeout=120)
+    budget_error = "resource error: conflict budget 50000 exhausted\n"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", budget_error)
 
 
 def test_verify_schlafli_overrun_reports_the_finished_checks():

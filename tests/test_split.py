@@ -18,7 +18,7 @@ from ramseykit.constructions import schlafli
 from ramseykit.detect import coloring_is_valid, contains, list_copies
 from ramseykit.enumeration import extend_level
 from ramseykit.graphs import Graph, complement
-from ramseykit.sat import CnfFormula, sat_solve
+from ramseykit.sat import BudgetExceededError, CnfFormula, sat_solve
 from ramseykit.split import (
     CHAIN_LENGTH,
     compose_coloring,
@@ -232,6 +232,22 @@ def test_engine_both_cross_checks():
     assert ok and witness is not None
     ok, witness = is_splittable(j7_graph(), [K3E, J4], engine="both")
     assert not ok and witness is None
+
+
+def test_recursive_split_counts_each_backtrack_as_a_conflict():
+    # refuting K6 -> (K3, K3) backtracks out of an edge 36 times, the last
+    # time at the root; one fewer conflict is an overrun, as in sat_solve
+    with pytest.raises(BudgetExceededError, match="^conflict budget 35 exhausted$"):
+        recursive_split(Graph.complete(6), [K3, K3], max_conflicts=35)
+    assert recursive_split(Graph.complete(6), [K3, K3], max_conflicts=36) is None
+
+
+@pytest.mark.parametrize("engine", ["auto", "sat", "recurse", "both"])
+def test_budget_overrun_is_unknown_for_every_engine(engine):
+    assert is_splittable(j7_graph(), [K3E, J4], engine, max_conflicts=1) == (None, None)
+    # a budget the engine meets gives the verdict and witness of no budget
+    for g, ts in [(j7_graph(), [K3E, J4]), (Graph.complete(5), [K3, K3]), (schlafli(), [J4, J4])]:
+        assert is_splittable(g, ts, engine, max_conflicts=10**6) == is_splittable(g, ts, engine)
 
 
 def test_edgeless_graph_is_trivially_splittable():

@@ -68,7 +68,7 @@ def test_figures_pass():
 
 def test_schlafli_report_passes():
     report = verify.verify_schlafli()
-    assert report.passed and report.overrun is None
+    assert report.passed and not report.overrun
     text = str(report)
     assert "strongly regular (27,10,1,5): ok" in text
     assert "complement is unsplittable for (K3, J4): ok" in text
@@ -103,7 +103,7 @@ def test_split_pipeline_counts_an_overrun_host_as_unknown(tmp_path):
     name = archive_filename(targets.clique(3), targets.clique_minus_edge(7), 16)
     (tmp_path / name).write_text(f"{UNSPLIT_HOST}\n{SPLIT_HOST}\n", encoding="ascii")
     report = verify.verify_split_pipeline(16, archive_dir=str(tmp_path), max_conflicts=150)
-    assert report.passed and str(report.overrun) == "conflict budget 150 exhausted"
+    assert report.passed and report.overrun
     assert report.lines == [
         "(K3,J7;16)-good graphs loaded: 2",
         "splittable under (K3, J4): 1",
@@ -112,7 +112,7 @@ def test_split_pipeline_counts_an_overrun_host_as_unknown(tmp_path):
     ]
     # a budget that every host meets leaves the report as without one
     roomy = verify.verify_split_pipeline(16, archive_dir=str(tmp_path), max_conflicts=187)
-    assert roomy.overrun is None
+    assert not roomy.overrun
     assert str(roomy) == str(verify.verify_split_pipeline(16, archive_dir=str(tmp_path)))
 
 

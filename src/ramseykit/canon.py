@@ -8,16 +8,18 @@ branches that compare worse than the best known leaf are cut immediately.
 Leaves that tie with the best labeling yield automorphisms, which prune
 sibling branches through their orbits. Twin swaps (two vertices with equal
 open or equal closed neighbourhoods) are automorphisms that the adjacency
-rows show directly, so they seed the generators before the search starts.
-Together with the automorphisms the leaves find, they generate the whole
-automorphism group. Pruning by known automorphisms only skips images of
-branches already searched, so the first smallest leaf, which gives the key
-and the labeling, is the same whichever automorphisms are known.
+rows show directly, so they seed the generators before the search starts,
+as do automorphisms the caller already knows (the enumerator knows those
+a child inherits from its parent). Together with the automorphisms the
+leaves find, they generate the whole automorphism group. Pruning by known
+automorphisms only skips images of branches already searched, so the
+first smallest leaf, which gives the key and the labeling, is the same
+whichever automorphisms are known.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .graphs import Graph, iter_bits
 
@@ -81,18 +83,21 @@ def _refine(adj: tuple[int, ...], cells: list[int], queue: list[int]) -> list[in
     return cells
 
 
-def _twin_swaps(adj: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Transpositions of each twin with the first vertex of its twin class.
+def _twin_swaps(adj: tuple[int, ...], mask: int) -> list[tuple[int, ...]]:
+    """Transpositions of each twin in ``mask`` with the first vertex of its
+    twin class.
 
     False twins have equal open neighbourhoods, true twins equal closed
     ones; swapping two twins fixes every row, so each swap is an
-    automorphism.
+    automorphism. Automorphisms fix each root cell, so twins share one, and
+    ``mask`` need only hold the root cells of more than one vertex.
     """
     n = len(adj)
     first_open: dict[int, int] = {}
     first_closed: dict[int, int] = {}
     swaps = []
-    for v, row in enumerate(adj):
+    for v in iter_bits(mask):
+        row = adj[v]
         u = first_open.setdefault(row, v)
         if u == v:
             u = first_closed.setdefault(row | 1 << v, v)
@@ -111,14 +116,29 @@ class _Search:
         self.cols: list[int] = []
         self.best_cols: list[int] = []
         self.best_perm: tuple[int, ...] | None = None
-        self.gens = _twin_swaps(adj)
+        self.gens: list[tuple[int, ...]] = []
+        self.supports: list[int] = []  # the vertices each generator moves
         self.best_epoch = 0
 
-    def run(self, cells: list[int] | None) -> None:
+    def run(self, cells: list[int] | None, known: Sequence[tuple[int, ...]]) -> None:
         if cells is None:
             full = (1 << self.n) - 1
             cells = _refine(self.adj, [full], [full])
-        self._rec(cells, False)
+        if len(cells) < self.n:  # else the root is the one leaf, and only the identity fixes it
+            shared = 0
+            for cell in cells:
+                if cell & (cell - 1):
+                    shared |= cell
+            # a known generator may repeat a twin swap, or be the identity
+            for g in dict.fromkeys(_twin_swaps(self.adj, shared) + list(known)):
+                support = 0
+                for u, w in enumerate(g):
+                    if u != w:
+                        support |= 1 << u
+                if support:
+                    self.gens.append(g)
+                    self.supports.append(support)
+        self._rec(cells, False, 0)
 
     def _column(self, v: int) -> int:
         row = self.adj[v]
@@ -127,18 +147,19 @@ class _Search:
             col = (col << 1) | ((row >> u) & 1)
         return col
 
-    def _rec(self, cells: list[int], tight: bool) -> None:
+    def _rec(self, cells: list[int], tight: bool, prefix: int) -> None:
         """Search below a node whose unplaced vertices form ``cells``.
 
-        ``tight`` says the placed prefix equals the best leaf's. Leading
-        singleton cells have one child each and are placed in a loop; the
-        first larger cell branches on its members by ascending column.
+        ``tight`` says the placed prefix equals the best leaf's, and
+        ``prefix`` masks the placed vertices. Leading singleton cells have
+        one child each and are placed in a loop; the first larger cell
+        branches on its members by ascending column.
         """
         placed, cols, best_cols = self.placed, self.cols, self.best_cols
         depth = len(placed)
         for k, cell in enumerate(cells):
             if cell & (cell - 1):
-                self._branch(cell, cells[k + 1 :], tight)
+                self._branch(cell, cells[k + 1 :], tight, prefix)
                 break
             v = cell.bit_length() - 1
             col = self._column(v)
@@ -149,22 +170,26 @@ class _Search:
                 tight = col == ref
             placed.append(v)
             cols.append(col)
+            prefix |= cell
         else:
             self._leaf(tight)
         del placed[depth:], cols[depth:]
 
-    def _branch(self, cell: int, rest: list[int], tight: bool) -> None:
-        placed, cols, gens = self.placed, self.cols, self.gens
+    def _branch(self, cell: int, rest: list[int], tight: bool, prefix: int) -> None:
+        placed, cols, gens, supports = self.placed, self.cols, self.gens, self.supports
         k = len(placed)
-        explored: list[int] = []
         fixing: list[tuple[int, ...]] = []  # the generators fixing the prefix
+        orbit: set[int] = set()  # the explored candidates' images under ``fixing``
         seen = 0
         for col, v in sorted((self._column(v), v) for v in iter_bits(cell)):
-            if explored:
+            if orbit:
                 if seen < len(gens):
-                    fixing += [g for g in gens[seen:] if all(g[u] == u for u in placed)]
+                    new = [g for g, m in zip(gens[seen:], supports[seen:]) if not m & prefix]
                     seen = len(gens)
-                if fixing and v in orbit_closure(explored, fixing):
+                    if new:
+                        fixing += new
+                        orbit = orbit_closure(orbit, fixing)
+                if v in orbit:
                     continue
             child = False
             if tight:
@@ -175,12 +200,16 @@ class _Search:
             epoch = self.best_epoch
             placed.append(v)
             cols.append(col)
-            self._rec(_refine(self.adj, [cell ^ (1 << v)] + rest, [1 << v]), child)
+            low = 1 << v
+            self._rec(_refine(self.adj, [cell ^ low] + rest, [low]), child, prefix | low)
             placed.pop()
             cols.pop()
             if self.best_epoch != epoch:
                 tight = True  # the new best extends this node's prefix
-            explored.append(v)
+            if fixing:
+                orbit |= orbit_closure([v], fixing)
+            else:
+                orbit.add(v)
 
     def _leaf(self, tight: bool) -> None:
         if tight:
@@ -188,16 +217,20 @@ class _Search:
             perm = self.best_perm
             assert perm is not None
             sigma = [0] * self.n
-            for i, v in enumerate(self.placed):
-                sigma[perm[i]] = v
+            support = 0
+            for u, v in zip(perm, self.placed):
+                sigma[u] = v
+                if u != v:
+                    support |= 1 << u
             self.gens.append(tuple(sigma))
+            self.supports.append(support)
             return
         self.best_cols = list(self.cols)
         self.best_perm = tuple(self.placed)
         self.best_epoch += 1
 
 
-def orbit_closure(start: list[int], gens: Sequence[tuple[int, ...]]) -> set[int]:
+def orbit_closure(start: Iterable[int], gens: Sequence[tuple[int, ...]]) -> set[int]:
     """The vertices that products of ``gens`` map some vertex of ``start`` to."""
     seen = set(start)
     if not gens:
@@ -233,20 +266,29 @@ def root_cells(adj: tuple[int, ...], parts: list[int]) -> list[int]:
     return _refine(adj, parts, parts[:-1])
 
 
-def canon_raw(n: int, adj: tuple[int, ...], cells: list[int] | None = None):
+def canon_raw(
+    n: int,
+    adj: tuple[int, ...],
+    cells: list[int] | None = None,
+    known: Sequence[tuple[int, ...]] = (),
+):
     """Canonical key, labeling and automorphism generators for raw bitsets.
 
     Returns ``(key, order, gens)`` where ``order[i]`` is the original vertex
     placed at canonical position i and ``gens``, over the original labels,
     generate the automorphism group: the twin transpositions seeded before
-    the search, then the automorphisms its leaves found. ``cells``, when
-    given, must be ``root_cells`` of the graph; the search starts from them
-    instead of refining its root again, and returns the same result.
+    the search, then ``known``, then the automorphisms its leaves found.
+    ``cells``, when given, must be ``root_cells`` of the graph; the search
+    starts from them instead of refining its root again, and returns the
+    same result. ``known`` are automorphisms the caller already has; they
+    prune the search from its start, with repeats and the identity dropped.
+    The key and the labeling do not depend on them, and with ``known``
+    empty neither do the generators.
     """
     if n == 0:
         return bytes([0]), (), []
     search = _Search(n, adj)
-    search.run(cells)
+    search.run(cells, known)
     assert search.best_perm is not None
     key = _pack_key(n, search.best_cols)
     return key, search.best_perm, search.gens

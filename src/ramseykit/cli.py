@@ -196,8 +196,17 @@ ENGINE_ARG = dict(
     "(a cross-check) can run past ten minutes on 20-vertex hosts with J4 targets, "
     "where SAT answers in about a second; --max-conflicts bounds every engine",
 )
+
+
+def _conflict_budget(text: str) -> int:
+    """A ``--max-conflicts`` value: a count, 0 or more."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a count of 0 or more, got {text!r}")
+    return int(text)
+
+
 MAX_CONFLICTS_ARG = dict(
-    type=int,
+    type=_conflict_budget,
     help="past this many conflicts (SAT: a falsified clause; recurse: a "
     "backtrack from an edge) the verdict is unknown and the exit code 3",
 )

@@ -30,6 +30,16 @@ decides the orbit test. Both tests work in any labels, so a class travels
 in the labels it was found in and is relabeled into canonical order once,
 when the enumerator emits it, without validating the relabeled rows again.
 
+A child inherits automorphisms: each parent generator that maps S onto
+itself, extended to fix the new vertex, is one of the child's, and the
+child's labeling search starts from them. When the new vertex's invariant
+is larger than every old vertex's, it is the canonical deletion vertex,
+so the child passes the deletion test without a labeling. Every
+automorphism fixes that vertex, so Aut(child) is the stabiliser of S in
+Aut(parent), and |Aut child| = |Aut parent| / |orbit of S|. A walk that
+only counts therefore counts such children of its last order from S
+alone, without building their rows.
+
 Every class arises once, from its one parent on that path, so the census
 is a tree and no level has to be held: ``enumerate_good`` walks it depth
 first. With several jobs it deals subtrees out to worker processes, as
@@ -81,13 +91,17 @@ class EnumerationStats:
         return "\n".join(lines) + "\n"
 
 
-def _extensions(adj: tuple[int, ...], n: int, t1: Target, t2: Target) -> Iterator[int]:
-    """Neighborhood masks S whose one-vertex extension stays (t1,t2)-good.
+def _extensions(
+    adj: tuple[int, ...], n: int, t1: Target, t2: Target, least: int = 0
+) -> Iterator[int]:
+    """Neighborhood masks S of at least ``least`` vertices whose one-vertex
+    extension stays (t1,t2)-good.
 
     S contains no t1 critical set of the parent and meets every t2 critical
     set of its complement. S grows by ascending vertices: a singleton set
     leaves the pool, a pair removes the partner, a larger set is checked
-    when its highest vertex enters.
+    when its highest vertex enters. A set whose pool cannot bring it to
+    ``least`` vertices is not grown.
     """
     full = (1 << n) - 1
     comp_adj = [full ^ row ^ (1 << v) for v, row in enumerate(adj)]
@@ -109,21 +123,27 @@ def _extensions(adj: tuple[int, ...], n: int, t1: Target, t2: Target) -> Iterato
     stack = [(pool, 0)]
     while stack:
         pool, cur = stack.pop()
-        for w in meet:
-            if not w & cur:
-                break
-        else:
-            yield cur
+        size = cur.bit_count() + 1  # of each set grown from cur
+        if size > least:
+            for w in meet:
+                if not w & cur:
+                    break
+            else:
+                yield cur
         while pool:
             low = pool & -pool
             v = low.bit_length() - 1
             pool ^= low
+            if size + pool.bit_count() < least:
+                break  # the pool only shrinks along this loop
             s = cur | low
             for w in larger[v]:
                 if w & s == w:
                     break
             else:
-                stack.append((pool & ~partners[v], s))
+                grow = pool & ~partners[v]
+                if size + grow.bit_count() >= least:
+                    stack.append((grow, s))
 
 
 def _orbit_min(s: int, gens: Sequence[tuple[int, ...]]) -> bool:
@@ -163,23 +183,38 @@ def _canonical_graph(rec: _ClassRec) -> Graph:
     return Graph._unchecked(n, relabel_canonical(n, rec.adj, rec.order))
 
 
+def _cycles(g: tuple[int, ...]) -> list[int]:
+    """Masks of the cycles of ``g`` longer than one vertex. ``g`` maps a
+    set onto itself exactly when the set is a union of its cycles."""
+    out: list[int] = []
+    seen = 0
+    for v, w in enumerate(g):
+        if w != v and not seen >> v & 1:
+            cycle = 1 << v
+            while w != v:
+                cycle |= 1 << w
+                w = g[w]
+            out.append(cycle)
+            seen |= cycle
+    return out
+
+
 def _new_vertex_ties(
     adj: tuple[int, ...],
     deg: list[int],
     nsum: list[int],
     by_deg: list[int],
-    top: int,
     s: int,
 ) -> int | None:
     """Old vertices whose (degree, sum of neighbour degrees) in the child
     with neighborhood ``s`` equals the new vertex's; None if one is larger.
 
-    ``deg`` and ``nsum`` are the parent's, ``by_deg[d]`` masks its vertices
-    of degree d and ``top`` is its largest degree.
+    ``deg`` and ``nsum`` are the parent's and ``by_deg[d]`` masks its
+    vertices of degree d. No old vertex may have the larger child degree:
+    |s| is at least the parent's largest degree, and no vertex of ``s`` has
+    degree |s| in the parent.
     """
     k = s.bit_count()
-    if k < top or by_deg[k] & s:  # an old vertex has the larger degree
-        return None
     mine = k + sum(deg[v] for v in iter_bits(s))
     ties = 0
     # the old vertices of child degree k (for k = 0, s is empty)
@@ -192,39 +227,54 @@ def _new_vertex_ties(
     return ties
 
 
-def _children(rec: _ClassRec, t1: Target, t2: Target) -> list[tuple[bytes, _ClassRec]]:
+def _children(
+    rec: _ClassRec, t1: Target, t2: Target, unbuilt: list[int] | None = None
+) -> list[tuple[bytes, _ClassRec]]:
     """The (key, record) of each child of one class on the canonical path.
 
     No two share a class. Each S kept is least in its orbit under the
     parent's automorphism group, which ``canon_raw``'s generators generate
     whole; isomorphic children passing the deletion test have S in one orbit.
+    The parent's generators that map S onto itself, fixing the new vertex,
+    are automorphisms of the child, and its labeling starts from them.
+
+    With ``unbuilt``, a child whose new vertex ties with no old vertex
+    passes the deletion test unlabeled (see the module docstring): it is
+    not built, and its |S| goes to ``unbuilt`` instead.
     """
     adj = rec.adj
     n = len(adj)
     bit = 1 << n
     deg = [row.bit_count() for row in adj]
     nsum = [sum(deg[u] for u in iter_bits(row)) for row in adj]
-    top = max(deg)
     by_deg = [0] * (n + 1)
     for v, d in enumerate(deg):
         by_deg[d] |= 1 << v
+    # each generator, fixing the new vertex, with its cycles
+    lifted = [(g + (n,), _cycles(g)) for g in rec.gens]
     out = []
-    for s in _extensions(adj, n, t1, t2):
-        ties = _new_vertex_ties(adj, deg, nsum, by_deg, top, s)
+    for s in _extensions(adj, n, t1, t2, max(deg)):
+        k = s.bit_count()
+        if by_deg[k] & s:
+            continue  # an old vertex has the larger degree
+        ties = _new_vertex_ties(adj, deg, nsum, by_deg, s)
         if ties is None or not _orbit_min(s, rec.gens):
+            continue
+        if unbuilt is not None and not ties:
+            unbuilt.append(k)
             continue
         child = tuple(
             (row | bit) if (s >> v) & 1 else row for v, row in enumerate(adj)
         ) + (s,)
         # the child's degree classes: the new vertex's degree k is the largest,
         # and by_deg[-1] is by_deg[n], which is empty
-        k = s.bit_count()
         parts = [p for d in range(k) if (p := (by_deg[d] & ~s) | (by_deg[d - 1] & s))]
         parts.append(by_deg[k] | (by_deg[k - 1] & s) | bit)
         cells = root_cells(child, parts)
         if ties and not next(c for c in cells if c & (ties | bit)) & bit:
             continue  # the canonical deletion vertex lies in the first cell meeting the ties
-        key, order, gens = canon_raw(n + 1, child, cells)
+        known = [g for g, cycles in lifted if all(s & c in (0, c) for c in cycles)]
+        key, order, gens = canon_raw(n + 1, child, cells, known)
         if ties:
             # canonical deletion vertex: the tie at the lowest position
             m = next(v for v in order if (ties | bit) >> v & 1)
@@ -258,7 +308,9 @@ def _subtree(
 
     The first counts classes per (order, edges); the second holds each
     class's graph6 line per order, only when ``emit``. The walk keeps one
-    stack of the children still to visit, not a level.
+    stack of the children still to visit, not a level. Without ``emit``, a
+    child of order ``n_max`` whose new vertex ties with no old vertex is
+    counted from its S alone, unbuilt and unlabeled.
     """
     tally: Counter[tuple[int, int]] = Counter()
     graphs: dict[int, list[str]] = {}
@@ -266,10 +318,16 @@ def _subtree(
     while stack:
         rec = stack.pop()
         n = len(rec.adj)
-        tally[n, sum(row.bit_count() for row in rec.adj) // 2] += 1
+        edges = sum(row.bit_count() for row in rec.adj) // 2
+        tally[n, edges] += 1
         if emit:
             graphs.setdefault(n, []).append(emit_graph6(_canonical_graph(rec)))
-        if n < n_max:
+        if n + 1 == n_max and not emit:
+            unbuilt: list[int] = []
+            stack += [child for _, child in _children(rec, t1, t2, unbuilt)]
+            for k in unbuilt:
+                tally[n_max, edges + k] += 1
+        elif n < n_max:
             stack += [child for _, child in _children(rec, t1, t2)]
     return tally, graphs
 

@@ -246,3 +246,155 @@ def test_search_from_the_refined_degree_partition_is_the_same_search():
         if i < 231:
             digest.update(result[0] + bytes(result[1]))
     assert digest.hexdigest() == "2d4cdfae6bfff1d8932996a6e5568c206898653183787b4fb21a1646922d7213"
+
+
+def group_order(n, gens):
+    """The order of the group the permutations ``gens`` generate, from a base
+    and strong generating set built by the Schreier-Sims algorithm (Holt,
+    Eick & O'Brien, "Handbook of Computational Group Theory", 4.4.2)."""
+    identity = tuple(range(n))
+
+    def after(p, q):  # q, then p
+        return tuple(p[w] for w in q)
+
+    def inverse(p):
+        q = [0] * n
+        for v, w in enumerate(p):
+            q[w] = v
+        return tuple(q)
+
+    def moved(p):
+        return next(v for v in range(n) if p[v] != v)
+
+    strong = [g for g in dict.fromkeys(gens) if g != identity]
+    base = []
+    for g in strong:
+        if all(g[b] == b for b in base):
+            base.append(moved(g))
+    levels = {}
+
+    def level(i):
+        """The strong generators fixing base[:i], and base[i]'s transversal."""
+        if i not in levels:
+            fixing = [g for g in strong if all(g[b] == b for b in base[:i])]
+            trans = {base[i]: identity}
+            stack = [base[i]]
+            while stack:
+                u = stack.pop()
+                for g in fixing:
+                    if g[u] not in trans:
+                        trans[g[u]] = after(g, trans[u])
+                        stack.append(g[u])
+            levels[i] = fixing, trans
+        return levels[i]
+
+    def strip(h, i):
+        while i < len(base):
+            trans = level(i)[1]
+            if h[base[i]] not in trans:
+                break
+            h = after(inverse(trans[h[base[i]]]), h)
+            i += 1
+        return h, i
+
+    i = len(base) - 1
+    while i >= 0:
+        fixing, trans = level(i)
+        schreier = (
+            after(inverse(trans[s[beta]]), after(s, u)) for beta, u in trans.items() for s in fixing
+        )
+        for h, j in (strip(h, i + 1) for h in schreier):
+            if h != identity:
+                break
+        else:
+            i -= 1
+            continue
+        if j == len(base):
+            base.append(moved(h))
+        strong.append(h)
+        levels.clear()
+        i = j
+    order = 1
+    for i in range(len(base)):
+        order *= len(level(i)[1])
+    return order
+
+
+def known_automorphisms(rng, n, gens):
+    """Random products of ``gens``, with the identity and repeats among them."""
+    identity = tuple(range(n))
+    out = [identity]
+    for _ in range(rng.randint(1, 4) if gens else 0):
+        p = identity
+        for _ in range(rng.randint(1, 3)):
+            g = rng.choice(gens)
+            p = tuple(g[w] for w in p)
+        out.append(p)
+    out += rng.choices(out, k=2)
+    rng.shuffle(out)
+    return out
+
+
+def pinned_graphs():
+    """The graphs of the pinned tests above: the 231 of the digest, then
+    every (K3, J7) class to order 8, each relabeled."""
+    rng = random.Random(8)
+    graphs = []
+    for n in range(1, 17):
+        graphs += [random_graph(rng, n, p) for p in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)]
+    for n in range(1, 14):
+        graphs += [Graph.empty(n), Graph.complete(n)]
+        graphs.append(Graph.from_edges(n, [(0, v) for v in range(1, n)]))
+        graphs += [complete_multipartite((a, n - a)) for a in range(1, n // 2 + 1)]
+    for sizes in [(2, 2, 2), (1, 2, 3, 4), (3, 3, 3), (2,) * 5, (1, 1, 3, 4), (2, 3, 5)]:
+        graphs.append(complete_multipartite(sizes))
+    graphs = [shuffled(rng, g) for g in graphs]
+    level = [Graph.empty(1)]
+    for _ in range(8):
+        graphs += [shuffled(rng, g) for g in level]
+        level = extend_level(level, K3, J7)
+    assert len(graphs) == 231 + 562
+    return graphs
+
+
+def test_generators_without_known_automorphisms_are_pinned():
+    # sha256 of every (key, order, gens): with no automorphisms handed in,
+    # the generator lists, which fix the split engine's symmetry breaking,
+    # stay the same byte for byte
+    digest = hashlib.sha256()
+    for g in pinned_graphs():
+        key, order, gens = canon_raw(g.n, g.adj)
+        digest.update(key + bytes(order) + b"".join(bytes(p) for p in gens) + b"|")
+    assert digest.hexdigest() == "3a7f3cffb403a01fc92fce31709247ff3c086ebd5c8d50d999a0275e45887c94"
+
+
+def test_known_automorphisms_keep_the_key_labeling_and_group():
+    # automorphisms handed to canon_raw seed its generators: the key and the
+    # labeling stay those of the unseeded search, and the generators, each
+    # an automorphism, generate the same group (brute-force closure to
+    # order 7, equal orbits and group order beyond), with no repeat and no
+    # identity among them
+    rng = random.Random(27)
+    digest = hashlib.sha256()
+    pruned = 0
+    for i, g in enumerate(pinned_graphs()):
+        key, order, gens = canon_raw(g.n, g.adj)
+        if i < 231:
+            digest.update(key + bytes(order))
+        known = known_automorphisms(rng, g.n, gens)
+        seeded = canon_raw(g.n, g.adj, None, known)
+        assert seeded[:2] == (key, order)
+        mine = seeded[2]
+        assert len(set(mine)) == len(mine) and tuple(range(g.n)) not in mine
+        for perm in mine:
+            assert relabeled(g, perm) == g
+        assert generator_orbits(g.n, mine) == generator_orbits(g.n, gens)
+        if g.n <= 7:
+            closure = group_closure(g.n, gens)
+            assert group_closure(g.n, mine) == closure
+            assert group_order(g.n, mine) == group_order(g.n, gens) == len(closure)
+        else:
+            assert group_order(g.n, mine) == group_order(g.n, gens)
+        pruned += len(mine) < len(gens)
+    assert digest.hexdigest() == "2d4cdfae6bfff1d8932996a6e5568c206898653183787b4fb21a1646922d7213"
+    assert pruned > 0  # the known automorphisms cut leaves that would find them again

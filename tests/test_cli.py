@@ -267,6 +267,34 @@ def test_engine_both_over_budget_on_a_figure_sized_host_exits_3(tmp_path):
     assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", budget_error)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["arrow", "--graph", "-", "--targets", "K3e,J4"],
+        ["split", "--targets", "K3e,J4", "--jobs", "1"],
+        ["verify", "schlafli"],
+    ],
+    ids=["arrow", "split", "verify"],
+)
+@pytest.mark.parametrize("budget", ["-1", "-5", "x"])
+def test_conflict_budget_that_is_not_a_count_is_a_usage_error(argv, budget, capsys):
+    with pytest.raises(SystemExit) as raised:
+        main(argv + ["--max-conflicts", budget])
+    assert raised.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --max-conflicts: expected a count of 0 or more, got '{budget}'" in err
+
+
+def test_conflict_budget_of_0_is_a_budget(tmp_path):
+    from ramseykit.targets import clique_minus_edge
+
+    path = tmp_path / "j7.g6"
+    path.write_text(emit_graph6(clique_minus_edge(7).pattern()) + "\n")
+    proc = run_cli(["arrow", "--graph", str(path), "--targets", "K3e,J4", "--max-conflicts", "0"])
+    budget_error = "resource error: conflict budget 0 exhausted\n"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", budget_error)
+
+
 def test_verify_schlafli_overrun_reports_the_finished_checks():
     # each split that overruns reads unknown; the checks around it still run
     proc = run_cli(["verify", "schlafli", "--max-conflicts", "1"])

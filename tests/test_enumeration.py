@@ -1,5 +1,6 @@
 import hashlib
 import random
+from collections import Counter
 
 import pytest
 
@@ -63,13 +64,22 @@ def test_parent_with_the_target_has_no_extension():
     assert extend_level([Graph.complete(3)], K3, K3) == []
 
 
+def assert_extensions_match_naive(g, t1, t2):
+    # with a least size, exactly the naive sets of that size or more
+    naive = naive_extensions(g, t1, t2)
+    for least in range(g.n + 2):
+        want = {s for s in naive if s.bit_count() >= least}
+        assert set(_extensions(g.adj, g.n, t1, t2, least)) == want
+    assert set(_extensions(g.adj, g.n, t1, t2)) == naive
+
+
 @pytest.mark.parametrize("pair", EXTENSION_PAIRS)
 def test_extensions_match_naive_on_every_good_parent(pair):
     t1, t2 = targets.parse_target_list(pair)
     level = [Graph.empty(1)]
     for _ in range(5):
         for g in level:
-            assert set(_extensions(g.adj, g.n, t1, t2)) == naive_extensions(g, t1, t2)
+            assert_extensions_match_naive(g, t1, t2)
         level = extend_level(level, t1, t2)
 
 
@@ -79,7 +89,7 @@ def test_extensions_match_naive_on_every_labeled_graph(pair):
     t1, t2 = targets.parse_target_list(pair)
     for n in range(1, 5):
         for g in all_graphs(n):
-            assert set(_extensions(g.adj, g.n, t1, t2)) == naive_extensions(g, t1, t2)
+            assert_extensions_match_naive(g, t1, t2)
 
 
 def test_all_graphs_match_oeis_a000088():
@@ -395,8 +405,10 @@ def test_graph6_text_order_is_key_order(pair, n):
 
 def labeling_children(rec, t1, t2):
     """A child step that labels every candidate passing the tie and orbit
-    tests and reads the deletion test off the labeling alone. Returns its
-    children and the number of labelings."""
+    tests and reads the deletion test off the labeling alone. Each labeling
+    starts, as the enumerator's does, from the parent generators that map S
+    onto itself, each extended to fix the new vertex. Returns its children
+    and the number of labelings."""
     adj = rec.adj
     n = len(adj)
     bit = 1 << n
@@ -405,11 +417,16 @@ def labeling_children(rec, t1, t2):
     by_deg = [sum(1 << v for v in range(n) if deg[v] == d) for d in range(n + 1)]
     out, labeled = [], 0
     for s in _extensions(adj, n, t1, t2):
-        ties = _new_vertex_ties(adj, deg, nsum, by_deg, max(deg), s)
+        k = s.bit_count()
+        if k < max(deg) or by_deg[k] & s:
+            continue  # an old vertex has the larger degree
+        ties = _new_vertex_ties(adj, deg, nsum, by_deg, s)
         if ties is None or not _orbit_min(s, rec.gens):
             continue
         child = tuple(row | bit if s >> v & 1 else row for v, row in enumerate(adj)) + (s,)
-        key, order, gens = canon_raw(n + 1, child)
+        members = {v for v in range(n) if s >> v & 1}
+        known = [g + (n,) for g in rec.gens if {g[v] for v in members} == members]
+        key, order, gens = canon_raw(n + 1, child, None, known)
         labeled += 1
         m = next(v for v in order if (ties | bit) >> v & 1)
         if m == n or n in orbit_closure([m], gens):
@@ -472,3 +489,53 @@ def test_archive_lines_parse_back_to_their_classes(tmp_path):
             level = extend_level(level, K3, J7)
         lines = (tmp_path / archive_filename(K3, J7, k)).read_text().splitlines()
         assert [parse_graph6(line) for line in lines] == level
+
+
+def new_vertex_ties(adj):
+    """Does an old vertex share the last vertex's (degree, neighbour-degree sum)?"""
+    deg = [row.bit_count() for row in adj]
+    inv = [
+        (deg[v], sum(deg[u] for u in range(len(adj)) if row >> u & 1))
+        for v, row in enumerate(adj)
+    ]
+    return inv[-1] in inv[:-1]
+
+
+def test_counting_walk_labels_no_tie_free_child_of_its_last_order(monkeypatch, tmp_path):
+    # without archives, a child of the last order whose new vertex has no
+    # tie is counted from S alone: no root cells and no labeling are made
+    # for it, and the tallies are those of the walk that emits every class
+    calls = Counter()
+    walk = [None]  # "emit" or "count"; None for calls not counted
+
+    def watched(name, adj_at):
+        inner = getattr(enumeration, name)
+
+        def wrapper(*args):
+            adj = args[adj_at]
+            calls[name, walk[0], len(adj)] += 1
+            if walk[0] == "count" and len(adj) == n:
+                assert new_vertex_ties(adj)
+            return inner(*args)
+
+        monkeypatch.setattr(enumeration, name, wrapper)
+
+    watched("canon_raw", 1)
+    watched("root_cells", 0)
+    skipped = {}
+    for pair, n in [("K3,J7", 10), ("K4,K4", 8), ("K3e,J4", 8), ("K9,K9", 7)]:
+        t1, t2 = targets.parse_target_list(pair)
+        calls.clear()
+        walk[0] = "emit"
+        want = enumerate_good(t1, t2, n, emit_dir=str(tmp_path / pair)).as_tsv()
+        walk[0] = "count"
+        assert enumerate_good(t1, t2, n).as_tsv() == want
+        walk[0] = None  # workers count apart from this process
+        assert enumerate_good(t1, t2, n, jobs=2).as_tsv() == want
+        for name in ("canon_raw", "root_cells"):
+            for k in range(1, n):
+                assert calls[name, "count", k] == calls[name, "emit", k]
+        skipped[pair] = calls["canon_raw", "emit", n] - calls["canon_raw", "count", n]
+        assert calls["root_cells", "emit", n] - calls["root_cells", "count", n] == skipped[pair]
+    assert skipped["K3,J7"] > 0 and skipped["K4,K4"] > 0 and skipped["K9,K9"] > 0
+    assert skipped["K3e,J4"] == 0  # R(K3+e, J4) = 7: the last order is empty

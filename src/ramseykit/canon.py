@@ -66,13 +66,9 @@ def _refine(adj: tuple[int, ...], cells: list[int], queue: list[int]) -> list[in
                 out.append(cell)
                 continue
             groups: dict[int, int] = {}
-            rest = cell
-            while rest:
-                low = rest & -rest
-                v = low.bit_length() - 1
-                rest ^= low
+            for v in iter_bits(cell):
                 key = (adj[v] & splitter).bit_count()
-                groups[key] = groups.get(key, 0) | low
+                groups[key] = groups.get(key, 0) | 1 << v
             if len(groups) == 1:
                 out.append(cell)
             else:

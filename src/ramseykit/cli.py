@@ -198,17 +198,26 @@ ENGINE_ARG = dict(
 )
 
 
-def _conflict_budget(text: str) -> int:
-    """A ``--max-conflicts`` value: a count, 0 or more."""
-    if not text.isdecimal():
-        raise argparse.ArgumentTypeError(f"expected a count of 0 or more, got {text!r}")
-    return int(text)
+def _count(least: int):
+    """An argument type for a count of ``least`` or more."""
+
+    def parse(text: str) -> int:
+        if not text.isdecimal() or int(text) < least:
+            raise argparse.ArgumentTypeError(f"expected a count of {least} or more, got {text!r}")
+        return int(text)
+
+    return parse
 
 
 MAX_CONFLICTS_ARG = dict(
-    type=_conflict_budget,
+    type=_count(0),
     help="past this many conflicts (SAT: a falsified clause; recurse: a "
     "backtrack from an edge) the verdict is unknown and the exit code 3",
+)
+JOBS_ARG = dict(
+    type=_count(1),
+    default=os.cpu_count() or 1,
+    help="worker processes, 1 or more (default: the CPU count)",
 )
 
 
@@ -226,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t2", required=True, help="target forbidden in the complement, e.g. J7")
     p.add_argument("--max-n", type=int, required=True)
     p.add_argument("--emit-graphs", metavar="DIR", help="write per-level graph6 archives")
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--jobs", **JOBS_ARG)
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("split", help="batch splittability verdicts for a graph6 stream")
@@ -234,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--engine", **ENGINE_ARG)
     p.add_argument("--input", default="-", help="graph6 file (default: stdin)")
     p.add_argument("--max-conflicts", **MAX_CONFLICTS_ARG)
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--jobs", **JOBS_ARG)
     p.set_defaults(func=_cmd_split)
 
     p = sub.add_parser("arrow", help="does a graph arrow the target list?")

@@ -130,9 +130,8 @@ def _extensions(
                     break
             else:
                 yield cur
-        while pool:
-            low = pool & -pool
-            v = low.bit_length() - 1
+        for v in iter_bits(pool):
+            low = 1 << v
             pool ^= low
             if size + pool.bit_count() < least:
                 break  # the pool only shrinks along this loop
@@ -156,11 +155,8 @@ def _orbit_min(s: int, gens: Sequence[tuple[int, ...]]) -> bool:
         cur = stack.pop()
         for g in gens:
             img = 0
-            m = cur
-            while m:
-                low = m & -m
-                img |= 1 << g[low.bit_length() - 1]
-                m ^= low
+            for v in iter_bits(cur):
+                img |= 1 << g[v]
             if img < s:
                 return False
             if img not in seen:

@@ -3,22 +3,51 @@
 A vertex neighborhood is a single Python int used as a bitmask, so edge
 queries, common-neighborhood intersections and degree counts are one or two
 machine-word operations for every graph this package handles.
+
+``iter_bits`` turns a mask into the sequence of its set bit positions. The
+positions of a mask below 2^16, which covers every vertex mask of a graph on
+at most 16 vertices, are computed once and kept as ``bytes`` in a
+module-level dict. Neither ``int`` keys nor ``bytes`` values hold
+references, so the garbage collector never tracks the dict, and a memo that
+grows during a run does not change when or how long full collections run.
+All 65,536 such masks take about 7 MB; the census to order 11 fills 1,751.
+Larger masks, such as the edge-index masks of the SAT encoding with
+positions past 255, get a fresh list each call and are not kept.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 MAX_VERTICES = 64
 
+_SMALL = 1 << 16
+_MEMO: dict[int, bytes] = {}
 
-def iter_bits(mask: int) -> Iterator[int]:
-    """Yield the set bit positions of ``mask`` in increasing order."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+
+def iter_bits(mask: int) -> Sequence[int]:
+    """The set bit positions of ``mask``, a non-negative int, in increasing
+    order.
+
+    A mask below 2^16 gets shared, memoized ``bytes`` (see the module
+    docstring); a larger one gets a new list. Callers only read the result.
+    """
+    bits = _MEMO.get(mask)
+    if bits is not None:
+        return bits
+    if mask < 0:
+        raise ValueError(f"negative mask {mask}")
+    out = []
+    rest = mask
+    while rest:
+        low = rest & -rest
+        out.append(low.bit_length() - 1)
+        rest ^= low
+    if mask < _SMALL:
+        bits = _MEMO[mask] = bytes(out)
+        return bits
+    return out
 
 
 @dataclass(frozen=True)

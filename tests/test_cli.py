@@ -285,6 +285,23 @@ def test_conflict_budget_that_is_not_a_count_is_a_usage_error(argv, budget, caps
     assert f"argument --max-conflicts: expected a count of 0 or more, got '{budget}'" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "--t1", "K3", "--t2", "J7", "--max-n", "5"],
+        ["split", "--targets", "K3e,J4"],
+    ],
+    ids=["enumerate", "split"],
+)
+@pytest.mark.parametrize("jobs", ["0", "-1", "x"])
+def test_job_count_below_1_is_a_usage_error(argv, jobs, capsys):
+    with pytest.raises(SystemExit) as raised:
+        main(argv + ["--jobs", jobs])
+    assert raised.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --jobs: expected a count of 1 or more, got '{jobs}'" in err
+
+
 def test_conflict_budget_of_0_is_a_budget(tmp_path):
     from ramseykit.targets import clique_minus_edge
 

@@ -1,6 +1,7 @@
 import hashlib
 import random
 from collections import Counter
+from math import factorial
 
 import pytest
 
@@ -11,6 +12,7 @@ from oracles import (
     relabeled,
     without_vertex,
 )
+from test_canon import group_order
 from ramseykit import enumeration, targets
 from ramseykit.canon import canon_raw, canonical_form, orbit_closure
 from ramseykit.detect import is_good
@@ -539,3 +541,29 @@ def test_counting_walk_labels_no_tie_free_child_of_its_last_order(monkeypatch, t
         assert calls["root_cells", "emit", n] - calls["root_cells", "count", n] == skipped[pair]
     assert skipped["K3,J7"] > 0 and skipped["K4,K4"] > 0 and skipped["K9,K9"] > 0
     assert skipped["K3e,J4"] == 0  # R(K3+e, J4) = 7: the last order is empty
+
+
+@pytest.mark.parametrize(
+    "pair, n_max", [("K3,J7", 8), ("K3e,J4", 7), ("K4,K4", 7)], ids=str
+)
+def test_labeled_mass_of_each_level_matches_its_one_vertex_extensions(pair, n_max):
+    """Sum over classes C of order n+1 of (n+1)!/|Aut C| equals the sum over
+    classes G of order n of n!/|Aut G| times the number of vertex sets S
+    for which G plus a vertex joined to S is good: both count the labeled
+    good graphs of order n+1. S is counted by ``is_good`` on every subset."""
+    t1, t2 = (targets.parse_target(tok) for tok in pair.split(","))
+    level = [Graph(1, (0,))]
+    for n in range(1, n_max):
+        extended = 0
+        for g in level:
+            ways = 0
+            for s in range(1 << n):
+                rows = tuple(row | (s >> v & 1) << n for v, row in enumerate(g.adj))
+                ways += is_good(Graph(n + 1, rows + (s,)), t1, t2)
+            extended += factorial(n) // group_order(n, canon_raw(n, g.adj)[2]) * ways
+        level = extend_level(level, t1, t2)
+        mass = sum(
+            factorial(n + 1) // group_order(n + 1, canon_raw(n + 1, c.adj)[2])
+            for c in level
+        )
+        assert mass == extended, f"order {n + 1}"

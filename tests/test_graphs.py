@@ -1,9 +1,14 @@
+import gc
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import relabeled
-from ramseykit.graphs import Graph, complement, relabel_rows
+from ramseykit import graphs as graphs_mod, targets
+from ramseykit.enumeration import enumerate_good
+from ramseykit.graphs import Graph, complement, iter_bits, relabel_rows
 from ramseykit.canon import are_isomorphic
 
 
@@ -64,3 +69,40 @@ def test_edges_are_symmetric(g):
 def test_relabel_rows_matches_the_oracle(g, data):
     order = data.draw(st.permutations(range(g.n)))
     assert relabel_rows(g.n, g.adj, order) == relabeled(g, order).adj
+
+
+def naive_bits(mask):
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def test_iter_bits_lists_every_small_mask_in_ascending_order():
+    for mask in range(1 << 12):
+        assert list(iter_bits(mask)) == naive_bits(mask)
+
+
+def test_iter_bits_lists_large_masks_past_a_byte_of_positions():
+    rng = random.Random(7)
+    for width in (17, 64, 256, 300, 1200):
+        for _ in range(50):
+            mask = rng.getrandbits(width) | 1 << (width - 1)
+            assert list(iter_bits(mask)) == naive_bits(mask)
+    assert list(iter_bits(1 << 1000 | 1 << 256 | 1 << 255)) == [255, 256, 1000]
+
+
+def test_iter_bits_memoizes_only_masks_below_2_to_the_16():
+    for mask in (1 << 16, 1 << 16 | 5, (1 << 40) - 1, 1 << 500):
+        iter_bits(mask)
+    iter_bits((1 << 16) - 1)
+    assert (1 << 16) - 1 in graphs_mod._MEMO
+    assert all(0 <= mask < 1 << 16 for mask in graphs_mod._MEMO)
+
+
+def test_iter_bits_rejects_a_negative_mask():
+    with pytest.raises(ValueError, match="negative"):
+        iter_bits(-1)
+
+
+def test_bit_memo_is_not_tracked_by_the_garbage_collector():
+    enumerate_good(targets.clique(3), targets.clique_minus_edge(7), 8)
+    assert graphs_mod._MEMO
+    assert not gc.is_tracked(graphs_mod._MEMO)

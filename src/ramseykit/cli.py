@@ -233,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="count (t1,t2)-good graphs per order, depth first")
     p.add_argument("--t1", required=True, help="target forbidden in the graph, e.g. K3")
     p.add_argument("--t2", required=True, help="target forbidden in the complement, e.g. J7")
-    p.add_argument("--max-n", type=int, required=True)
+    p.add_argument("--max-n", type=_count(0), required=True)
     p.add_argument("--emit-graphs", metavar="DIR", help="write per-level graph6 archives")
     p.add_argument("--jobs", **JOBS_ARG)
     p.set_defaults(func=_cmd_enumerate)
@@ -265,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_cnf)
 
     p = sub.add_parser("anneal", help="anneal for a coloring avoiding target i in color i")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_count(0), required=True)
     p.add_argument("--targets", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--t0", type=float, default=2.0, help="initial temperature")

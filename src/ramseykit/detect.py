@@ -2,11 +2,13 @@
 
 Containment is always in the subgraph sense (never induced). This is the
 only module that knows how each target kind is found. Per kind it holds one
-lazy copy generator, which backs :func:`list_copies`, :func:`contains` and
-the enumerator's screen :func:`critical_sets`, and one closed form for the
-number of copies through a present edge {u,v}. The closed forms have one
-dispatch point, :func:`count_copies_with_edge`, which evaluates the K_k and
-J_k forms in its own body; annealing scores a move with one call to it.
+lazy copy generator, which backs :func:`list_copies` and :func:`contains`;
+one closed form for the critical sets of the enumerator's screen
+:func:`critical_sets`, read off the role a new vertex plays in a copy; and
+one closed form for the number of copies through a present edge {u,v}.
+The through-edge forms have one dispatch point,
+:func:`count_copies_with_edge`, which evaluates the K_k and J_k forms in
+its own body; annealing scores a move with one call to it.
 :func:`count_copies` totals a whole graph without building a copy: it
 counts K_k as k-cliques and J_k as pairs of common neighbours of a
 (k-2)-clique spine, and sums the through-edge forms of the other kinds
@@ -223,35 +225,152 @@ def list_copies(g: Graph, t: Target) -> CopyList:
 
 
 def critical_sets(adj: Sequence[int], n: int, t: Target) -> list[int]:
-    """Minimal masks W such that a new vertex joined to all of W completes
-    a copy of ``t``, by (size, mask); W = 0 means ``t`` is already there.
+    """Minimal masks W such that a new vertex x joined to all of W
+    completes a copy of ``t``, by (size, mask); ``[0]`` when ``t`` is
+    already there. No copy is listed: each kind has one closed form, read
+    off the role that x plays in a copy. W is then x's neighbours in the
+    copy, and every completing set contains such a W.
 
-    The new vertex x = n is appended joined to everything, and each copy
-    of ``t`` gives the vertices it joins to x: the copy's other vertices
-    less x's non-neighbours in the pattern.
+    K_k: x is any clique vertex, so W is a (k-1)-clique. These sets have one
+    size, so each is minimal. The parent holds K_k when one of them has a
+    common neighbour.
+
+    J_k: Q is a (k-3)-clique and C = N(Q). If x is a tip, W = Q + a for an
+    a of C above max(Q) with C ∩ N(a) not empty: the (k-2)-cliques with a
+    common neighbour, each met once, from Q = W less its top vertex. If x
+    is on the spine, W = Q + a + b for two lonely vertices a, b of C:
+    C ∩ N(a) = C ∩ N(b) = 0. Tip sets are the smaller, and such a W holds
+    only the two (k-2)-cliques Q + a and Q + b (a and b are not adjacent),
+    neither with a common neighbour, so it holds no tip set; with one
+    neighbour in C, a would make Q + a a tip set inside it. Every other
+    (k-3)-clique of W holds a or b but not both, and the rest of W is not
+    in its common neighbourhood, so each W is met from one Q only. The
+    parent holds J_k when some Q + a has two common neighbours.
+
+    K_k-P3: R is a (k-3)-clique and C = N(R). x is the path centre over
+    the core R when C holds an edge (the path ends), or a path end joined
+    to R + v for a v of C and another vertex of C as the centre, or a core
+    vertex joined to the rest R' of the core, a (k-4)-clique, an edge u-v
+    of N(R') as the ends and any third vertex of N(R') as the centre. The
+    three families have sizes k-3, k-2 and k-1, and a centre set can lie
+    inside an end or core set and an end set inside a core set, so only
+    the minimal sets of their union are kept. The parent holds K_k-P3 when
+    some C holds an edge and a third vertex.
+
+    C_k: x closes a path on k-1 vertices, so W is the pair of its ends;
+    these sets have one size, so each is minimal. The parent holds C_k when
+    the ends of such a path have a common neighbour off it.
     """
     if t.order > n + 1:
         return []
-    x = 1 << n
-    grown = [row | x for row in adj] + [x - 1]
-    found = set()
-    for mask, missing in _COPIES[t.kind](grown, n + 1, t.k):
-        if not mask & x:
-            found.add(0)
+    return _CRITICAL[t.kind](adj, n, t.k)
+
+
+def _cliques(
+    adj: Sequence[int], n: int, k: int, least: int = 0
+) -> list[tuple[int, int, int]]:
+    """(Q, N(Q) above max(Q), N(Q)) for each k-clique Q of the mask graph
+    with at least ``least`` common neighbours."""
+    full = (1 << n) - 1
+    out: list[tuple[int, int, int]] = []
+    stack = [(0, full, full, k)]  # d vertices of Q still to pick
+    while stack:
+        q, cand, common, d = stack.pop()
+        if not d:
+            out.append((q, cand, common))
             continue
-        w = mask ^ x
-        for a, b in missing:
-            if b == n:  # x is the highest vertex, so it ends its pairs
-                w ^= 1 << a
-        found.add(w)
+        d -= 1
+        while cand.bit_count() > d:
+            low = cand & -cand
+            row = adj[low.bit_length() - 1]
+            cand ^= low
+            # each vertex still to pick leaves the common neighbourhood
+            if (common & row).bit_count() >= d + least:
+                stack.append((q | low, cand & row, common & row, d))
+    return out
+
+
+def _clique_critical(adj: Sequence[int], n: int, k: int) -> list[int]:
+    found = []
+    for q, _, common in _cliques(adj, n, k - 1):
+        if common:
+            return [0]
+        found.append(q)
+    found.sort()
+    return found
+
+
+def _cme_critical(adj: Sequence[int], n: int, k: int) -> list[int]:
+    tips = []
+    spines = []
+    for q, above, common in _cliques(adj, n, k - 3, 2):
+        lonely = 0
+        for a in iter_bits(common):
+            d = common & adj[a]
+            if not d:
+                lonely |= 1 << a
+            elif d & (d - 1):
+                return [0]
+            elif above >> a & 1:
+                tips.append(q | 1 << a)
+        rest = lonely
+        for a in iter_bits(lonely):
+            rest ^= 1 << a
+            qa = q | 1 << a
+            for b in iter_bits(rest):
+                spines.append(qa | 1 << b)
+    tips.sort()
+    spines.sort()
+    return tips + spines
+
+
+def _cmp3_critical(adj: Sequence[int], n: int, k: int) -> list[int]:
+    found = set()
+    for r, _, c in _cliques(adj, n, k - 3, 2):
+        if any(c & adj[v] for v in iter_bits(c)):
+            if c.bit_count() > 2:
+                return [0]
+            found.add(r)  # x the centre
+        elif c & (c - 1):
+            found.update(r | 1 << v for v in iter_bits(c))  # x an end
+    for r, _, c in _cliques(adj, n, k - 4, 3):  # x in the core
+        for u in iter_bits(c):
+            for v in iter_bits(c & adj[u] & ~((2 << u) - 1)):
+                ends = r | 1 << u | 1 << v
+                found.update(ends | 1 << w for w in iter_bits(c & ~ends))
     minimal: list[int] = []
     for w in sorted(found, key=lambda m: (m.bit_count(), m)):
-        for m in minimal:
-            if m & w == m:
-                break
-        else:
+        if not any(m & w == m for m in minimal):
             minimal.append(w)
     return minimal
+
+
+def _cycle_critical(adj: Sequence[int], n: int, k: int) -> list[int]:
+    found = set()
+
+    def walk(s: int, v: int, visited: int, steps: int) -> bool:
+        # extend the path s..v by ``steps`` edges; True when the parent holds C_k
+        if not steps:
+            if s < v:
+                if adj[s] & adj[v] & ~visited:
+                    return True
+                found.add(1 << s | 1 << v)
+            return False
+        return any(
+            walk(s, u, visited | 1 << u, steps - 1) for u in iter_bits(adj[v] & ~visited)
+        )
+
+    if any(walk(s, s, 1 << s, k - 2) for s in range(n)):
+        return [0]
+    return sorted(found)
+
+
+_CRITICAL = {
+    CLIQUE: _clique_critical,
+    CLIQUE_MINUS_EDGE: _cme_critical,
+    CLIQUE_MINUS_P3: _cmp3_critical,
+    CYCLE: _cycle_critical,
+}
 
 
 # Copies through a present edge {u,v}, in closed bitset form. C is the

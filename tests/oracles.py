@@ -38,6 +38,32 @@ def naive_copies(g: Graph, t: Target) -> set[tuple[tuple[int, int], ...]]:
     return found
 
 
+def naive_critical_sets(g: Graph, t: Target) -> list[int]:
+    """Minimal masks W such that ``g`` plus a vertex x joined to W holds t,
+    by (size, mask), trying every injection of the pattern into g plus x.
+
+    A copy that avoids x gives W = 0. A copy that puts pattern vertex p on
+    x maps the other pattern vertices into g, along g's edges, and joins x
+    to the images of p's pattern neighbours.
+    """
+    pat = t.pattern()
+    k = pat.n
+    if k > g.n + 1:
+        return []
+    found = {0} if naive_copies(g, t) else set()
+    pat_edges = pat.edges()
+    for p in range(k):
+        others = [a for a in range(k) if a != p]
+        inner = [(a, b) for a, b in pat_edges if p not in (a, b)]
+        joined = [a + b - p for a, b in pat_edges if p in (a, b)]
+        for image in permutations(range(g.n), k - 1):
+            at = dict(zip(others, image))
+            if all(g.has_edge(at[a], at[b]) for a, b in inner):
+                found.add(sum(1 << at[a] for a in joined))
+    minimal = [s for s in found if not any(w != s and w & s == w for w in found)]
+    return sorted(minimal, key=lambda m: (m.bit_count(), m))
+
+
 def naive_extensions(g: Graph, t1: Target, t2: Target) -> set[int]:
     """Neighborhood masks S of a new vertex that keep g + vertex (t1,t2)-good.
 

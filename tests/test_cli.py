@@ -302,6 +302,34 @@ def test_job_count_below_1_is_a_usage_error(argv, jobs, capsys):
     assert f"argument --jobs: expected a count of 1 or more, got '{jobs}'" in err
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["enumerate", "--t1", "K3", "--t2", "J7", "--jobs", "1"], "--max-n"),
+        (["anneal", "--targets", "K3,K3"], "--n"),
+    ],
+    ids=["enumerate", "anneal"],
+)
+@pytest.mark.parametrize("order", ["-3", "-2", "x"])
+def test_negative_order_is_a_usage_error(argv, flag, order, capsys):
+    with pytest.raises(SystemExit) as raised:
+        main(argv + [flag, order])
+    assert raised.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("usage: ")
+    assert f"argument {flag}: expected a count of 0 or more, got '{order}'" in out.err
+
+
+def test_order_0_keeps_its_output(capsys):
+    assert main(["enumerate", "--t1", "K3", "--t2", "J7", "--max-n", "0", "--jobs", "1"]) == 0
+    assert capsys.readouterr().out == "n\tcount\tedges\n"
+    assert main(["anneal", "--n", "0", "--targets", "K3,K3"]) == 0
+    assert capsys.readouterr().out == (
+        "anneal n=0 targets=K3,K3 seed=0\nSUCCESS restarts-used=1\n\n"
+    )
+
+
 def test_conflict_budget_of_0_is_a_budget(tmp_path):
     from ramseykit.targets import clique_minus_edge
 

@@ -1,9 +1,10 @@
+import os
 import random
 
 import pytest
 
-from oracles import all_graphs, naive_copies, random_graph, with_vertex
-from ramseykit import targets
+from oracles import all_graphs, naive_copies, naive_critical_sets, random_graph, with_vertex
+from ramseykit import detect, targets
 from ramseykit.coloring import EdgeColoring, color_class
 from ramseykit.constructions import figure_coloring, two_k3
 from ramseykit.detect import (
@@ -15,6 +16,7 @@ from ramseykit.detect import (
     is_good,
     list_copies,
 )
+from ramseykit.enumeration import _extensions, extend_level
 from ramseykit.graphs import Graph
 
 K3 = targets.clique(3)
@@ -129,20 +131,123 @@ def test_edge_counts_sum_to_edges_times_copies():
             assert through == t.pattern().edge_count * len(naive_copies(g, t)), (g.adj, t)
 
 
+# each kind at its smallest k and larger ones
+CRITICAL_TARGETS = [targets.clique(2), targets.cycle(3)] + ALL_TARGETS
+
+
 def test_critical_sets_are_the_minimal_completing_sets():
     rng = random.Random(41)
-    for _ in range(20):
-        g = random_graph(rng, rng.randint(1, 5), rng.random())
-        for t in ALL_TARGETS:
-            completing = [
-                s for s in range(1 << g.n) if naive_copies(with_vertex(g, s), t)
-            ]
-            minimal = [
-                s for s in completing
-                if not any(w != s and w & s == w for w in completing)
-            ]
-            minimal.sort(key=lambda m: (m.bit_count(), m))
+    held = set()  # (target, parent holds it) pairs met with sets to find
+    for _ in range(60):
+        g = random_graph(rng, rng.randint(0, 7), rng.random())
+        for t in CRITICAL_TARGETS:
+            minimal = naive_critical_sets(g, t)
+            if g.n <= 5:  # the definition: every neighbourhood of a new vertex
+                completing = [
+                    s for s in range(1 << g.n) if naive_copies(with_vertex(g, s), t)
+                ]
+                least = [
+                    s for s in completing
+                    if not any(w != s and w & s == w for w in completing)
+                ]
+                assert minimal == sorted(least, key=lambda m: (m.bit_count(), m)), (g.adj, t)
             assert critical_sets(g.adj, g.n, t) == minimal, (g.adj, t)
+            if minimal:
+                held.add((t, minimal == [0]))
+    assert held == {(t, h) for t in CRITICAL_TARGETS for h in (False, True)}
+
+
+def grown_graph_critical_sets(adj, n, t):
+    """The screen as it was before the closed forms: append a vertex x
+    joined to everything, list every copy of ``t`` in that grown graph and
+    keep the minimal sets of x's neighbours in the copies."""
+    if t.order > n + 1:
+        return []
+    x = 1 << n
+    grown = [row | x for row in adj] + [x - 1]
+    found = set()
+    for mask, missing in detect._COPIES[t.kind](grown, n + 1, t.k):
+        if not mask & x:
+            found.add(0)
+            continue
+        w = mask ^ x
+        for a, b in missing:
+            if b == n:  # x is the highest vertex, so it ends its pairs
+                w ^= 1 << a
+        found.add(w)
+    minimal: list[int] = []
+    for w in sorted(found, key=lambda m: (m.bit_count(), m)):
+        if not any(m & w == m for m in minimal):
+            minimal.append(w)
+    return minimal
+
+
+def assert_critical_sets_as_grown(adj, n, pair):
+    full = (1 << n) - 1
+    comp = [full ^ row ^ (1 << v) for v, row in enumerate(adj)]
+    for t in pair:
+        for rows in (adj, comp):
+            assert critical_sets(rows, n, t) == grown_graph_critical_sets(rows, n, t), (
+                adj, t, rows is comp,
+            )
+
+
+@pytest.mark.parametrize(
+    "pair, n_max",
+    [
+        ("K3,J7", 9), ("K4,K4", 8), ("K3e,J4", 7),
+        # the levels of these pairs are empty past order 8, but for (C5, K4)
+        ("C4,C4", 9), ("C5,K4", 9), ("K3,C5", 9), ("K3,K5mP3", 9), ("K5mP3,K3", 9),
+    ],
+)
+def test_critical_sets_match_the_grown_graph_screen(pair, n_max):
+    # every class of the pair to n_max, its targets on it and on its complement
+    pair = targets.parse_target_list(pair)
+    level = [Graph.empty(1)]
+    for _ in range(n_max):
+        for g in level:
+            assert_critical_sets_as_grown(g.adj, g.n, pair)
+        level = extend_level(level, *pair)
+
+
+def test_critical_sets_match_the_grown_graph_screen_on_random_graphs():
+    rng = random.Random(43)
+    deep = [targets.clique(6), targets.clique_minus_edge(6), targets.clique_minus_p3(6)]
+    for _ in range(120):
+        g = random_graph(rng, rng.randint(6, 10), rng.random())
+        for t in ALL_TARGETS + deep:
+            assert critical_sets(g.adj, g.n, t) == grown_graph_critical_sets(g.adj, g.n, t), (
+                g.adj, t,
+            )
+
+
+@pytest.mark.extended
+@pytest.mark.skipif(
+    not os.environ.get("RAMSEYKIT_EXTENDED"),
+    reason="extended gate (seconds of runtime): set RAMSEYKIT_EXTENDED=1",
+)
+def test_critical_sets_match_the_grown_graph_screen_at_depth():
+    # seeded descents from order-10 (K3, J7) classes, one good extension
+    # at a time, checked at orders 12 to 14
+    pair = (K3, J7)
+    level = [Graph.empty(1)]
+    for _ in range(9):
+        level = extend_level(level, *pair)
+    rng = random.Random(47)
+    checked = 0
+    for g in rng.sample(level, 1000):
+        adj, n = g.adj, g.n
+        while n < 14:
+            ext = list(_extensions(adj, n, *pair))
+            if not ext:
+                break
+            s = rng.choice(ext)
+            adj = tuple(row | (s >> v & 1) << n for v, row in enumerate(adj)) + (s,)
+            n += 1
+            if n >= 12:
+                assert_critical_sets_as_grown(adj, n, pair)
+                checked += 1
+    assert checked >= 2000, checked
 
 
 def test_contains_iff_copies_nonempty():

@@ -2,7 +2,8 @@
 
 Containment is always in the subgraph sense (never induced). This is the
 only module that knows how each target kind is found. Per kind it holds one
-lazy copy generator, which backs :func:`list_copies` and :func:`contains`;
+lazy copy generator, which backs :func:`copy_tuples`, :func:`list_copies`
+and :func:`contains`;
 one closed form for the critical sets of the enumerator's screen
 :func:`critical_sets`, read off the role a new vertex plays in a copy; and
 one closed form for the number of copies through a present edge {u,v}.
@@ -14,18 +15,24 @@ counts K_k as k-cliques and J_k as pairs of common neighbours of a
 (k-2)-clique spine, and sums the through-edge forms of the other kinds
 over the host's edges, each copy once per edge of the target.
 Everything works on neighborhood bitmasks: a clique is grown by
-intersecting candidate masks, J_k is located as a vertex pair whose common
-neighborhood holds a (k-2)-clique, and so on for the other patterns in the
-family.
+intersecting candidate masks, and the K_k and J_k generators walk the
+spines, the (k-2)-cliques with two or more common neighbours: a J_k copy
+is a spine plus any two of them, a K_k copy a spine plus an edge of them
+above it.
 
-It also owns the edge numbering of copies: :func:`list_copies` gives each
-copy as an edge-index bitmask, bit i meaning ``g.edges()[i]``.
+It also owns the edge numbering of copies. :func:`copy_tuples` writes each
+copy as the sorted tuple of its edges' entries in a per-host
+:func:`edge_table`, the tuples in their native order; with the SAT
+variables as entries, a tuple is a clause. :func:`list_copies` takes the
+entries 2^i and sums each tuple into an edge-index bitmask, bit i meaning
+``g.edges()[i]``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from itertools import combinations
+from typing import Iterable, Iterator, Sequence
 
 from .coloring import EdgeColoring, color_class
 from .graphs import Graph, complement, iter_bits
@@ -38,7 +45,8 @@ Edge = tuple[int, int]
 class CopyList:
     """All copies of a target in a host as edge-index bitmasks: bit i of a
     copy means ``edges[i]``, and ``edges`` is the host's sorted ``g.edges()``.
-    Copies are in the lexicographic order of their sorted edge tuples."""
+    Copies are in the lexicographic order of their sorted edge tuples, the
+    order of :func:`copy_tuples`, from whose tuples they are summed."""
 
     edges: tuple[Edge, ...]
     copies: tuple[int, ...]
@@ -98,33 +106,49 @@ def _clique_commons(adj: Sequence[int], cand: int, k: int, common: int) -> list[
     return out
 
 
-def _pair(a: int, b: int) -> Edge:
-    return (a, b) if a < b else (b, a)
+# Copy generators: every copy exactly once, as the tuple of its edges'
+# entries in ``index`` (``index[u][v] == index[v][u]``) in sorted edge
+# order. The entries increase along the sorted edge list, so sorting them
+# sorts the edges.
+
+Table = Sequence[Sequence[int]]
+Copy = tuple[int, ...]
 
 
-# Copy generators: every copy exactly once, as its vertex mask and the
-# pattern's non-edges among those vertices, each a sorted pair.
-
-Shape = tuple[int, tuple[Edge, ...]]
-
-
-def _clique_copies(adj: Sequence[int], n: int, k: int) -> Iterator[Shape]:
-    for mask in iter_cliques(adj, (1 << n) - 1, k):
-        yield mask, ()
-
-
-def _cme_copies(adj: Sequence[int], n: int, k: int) -> Iterator[Shape]:
-    # x, y are the two non-adjacent tips; the spine is a (k-2)-clique
-    for x in range(n):
-        for y in range(x + 1, n):
-            pair = (1 << x) | (1 << y)
-            for spine in iter_cliques(adj, adj[x] & adj[y], k - 2):
-                yield spine | pair, ((x, y),)
+def _clique_copies(adj: Sequence[int], n: int, k: int, index: Table) -> Iterator[Copy]:
+    # the spine Q is the copy's k-2 lowest vertices, its top two x < y an
+    # edge of N(Q) above Q
+    for q, above, _ in _cliques(adj, n, k - 2, 2):
+        spine = iter_bits(q)
+        inner = [index[a][b] for a, b in combinations(spine, 2)]
+        for x in iter_bits(above):
+            row = index[x]
+            head = inner + [row[v] for v in spine]
+            for y in iter_bits(above & adj[x] & ~((2 << x) - 1)):
+                copy = head + [index[y][v] for v in spine]
+                copy.append(row[y])
+                copy.sort()
+                yield tuple(copy)
 
 
-def _cmp3_copies(adj: Sequence[int], n: int, k: int) -> Iterator[Shape]:
+def _cme_copies(adj: Sequence[int], n: int, k: int, index: Table) -> Iterator[Copy]:
+    # the spine Q is a (k-2)-clique, the tips any two common neighbours of Q
+    for q, _, common in _cliques(adj, n, k - 2, 2):
+        spine = iter_bits(q)
+        inner = [index[a][b] for a, b in combinations(spine, 2)]
+        tips = [[index[x][v] for v in spine] for x in iter_bits(common)]
+        for i, tip in enumerate(tips, 1):
+            head = inner + tip
+            for other in tips[i:]:
+                copy = head + other
+                copy.sort()
+                yield tuple(copy)
+
+
+def _cmp3_copies(adj: Sequence[int], n: int, k: int, index: Table) -> Iterator[Copy]:
     # u-v is the path-ends edge, w the path centre, and the core is a
-    # (k-3)-clique adjacent to all three
+    # (k-3)-clique adjacent to all three; the pairs of the vertex set, in
+    # order, are the edges in order
     for u in range(n):
         for v in iter_bits(adj[u] >> (u + 1)):
             v += u + 1
@@ -134,24 +158,22 @@ def _cmp3_copies(adj: Sequence[int], n: int, k: int) -> Iterator[Shape]:
                     continue
                 ends = (1 << u) | (1 << v) | (1 << w)
                 for core in iter_cliques(adj, common & adj[w], k - 3):
-                    yield core | ends, (_pair(u, w), _pair(v, w))
+                    found = [index[a][b] for a, b in combinations(iter_bits(core | ends), 2)]
+                    found.remove(index[u][w])
+                    found.remove(index[v][w])
+                    yield tuple(found)
 
 
-def _cycle_copies(adj: Sequence[int], n: int, k: int) -> Iterator[Shape]:
+def _cycle_copies(adj: Sequence[int], n: int, k: int, index: Table) -> Iterator[Copy]:
     for s in range(n):
         allowed = ~((1 << (s + 1)) - 1)  # only vertices above the start
         path = [s]
 
-        def dfs(v: int, visited: int) -> Iterator[Shape]:
+        def dfs(v: int, visited: int) -> Iterator[Copy]:
             if len(path) == k:
                 # close the cycle; dedupe direction via second < last vertex
                 if (adj[v] >> s) & 1 and path[1] < path[-1]:
-                    chords = tuple(
-                        _pair(path[i], path[j])
-                        for i in range(k)
-                        for j in range(i + 2, k - (i == 0))
-                    )
-                    yield visited, chords
+                    yield tuple(sorted(index[a][b] for a, b in zip(path, path[1:] + [s])))
                 return
             for u in iter_bits(adj[v] & allowed & ~visited):
                 path.append(u)
@@ -171,7 +193,8 @@ _COPIES = {
 
 def contains(g: Graph, t: Target) -> bool:
     """Does ``g`` contain a (not necessarily induced) copy of ``t``?"""
-    return next(_COPIES[t.kind](g.adj, g.n, t.k), None) is not None
+    unnumbered = [[0] * g.n] * g.n  # finding a copy reads no edge numbers
+    return next(_COPIES[t.kind](g.adj, g.n, t.k, unnumbered), None) is not None
 
 
 def count_copies(masks: Sequence[int], n: int, t: Target) -> int:
@@ -200,28 +223,29 @@ def count_copies(masks: Sequence[int], n: int, t: Target) -> int:
     return total // t.edge_count
 
 
+def edge_table(n: int, edges: Sequence[Edge], values: Iterable[int]) -> list[list[int]]:
+    """An n x n table holding ``values[i]`` at both ``[u][v]`` and ``[v][u]``
+    for ``edges[i] == (u, v)``, and 0 off the edges."""
+    table = [[0] * n for _ in range(n)]
+    for (u, v), x in zip(edges, values):
+        table[u][v] = table[v][u] = x
+    return table
+
+
+def copy_tuples(adj: Sequence[int], n: int, t: Target, table: Table) -> list[Copy]:
+    """Every distinct copy of ``t`` in the mask graph as the tuple of its
+    edges' entries in ``table`` (see :func:`edge_table`), whose entries
+    must increase along the sorted edge list. Each tuple is sorted, and the
+    tuples are in increasing order: both orders are those of the copies'
+    sorted edge tuples."""
+    return sorted(_COPIES[t.kind](adj, n, t.k, table))
+
+
 def list_copies(g: Graph, t: Target) -> CopyList:
     """Every distinct copy of ``t`` in ``g`` as an edge-index bitmask."""
     edges = tuple(g.edges())
-    bit = [[0] * g.n for _ in range(g.n)]  # bit[v][u]: edge (u, v), u < v
-    for i, (u, v) in enumerate(edges):
-        bit[v][u] = 1 << i
-    copies = []
-    for mask, missing in _COPIES[t.kind](g.adj, g.n, t.k):
-        copy = 0
-        below: list[int] = []
-        for v in iter_bits(mask):
-            row = bit[v]
-            for u in below:
-                copy |= row[u]
-            below.append(v)
-        for a, b in missing:
-            copy &= ~bit[b][a]
-        copies.append(copy)
-    # Copies of one target have equal edge counts, so the earlier of two in
-    # sorted-edge order holds the lowest bit of A ^ B: it reads larger low bit first.
-    copies.sort(key=lambda c: format(c, "b")[::-1], reverse=True)
-    return CopyList(edges, tuple(copies))
+    bits = edge_table(g.n, edges, [1 << i for i in range(len(edges))])
+    return CopyList(edges, tuple(map(sum, copy_tuples(g.adj, g.n, t, bits))))
 
 
 def critical_sets(adj: Sequence[int], n: int, t: Target) -> list[int]:

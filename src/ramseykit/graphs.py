@@ -11,8 +11,9 @@ module-level dict. Neither ``int`` keys nor ``bytes`` values hold
 references, so the garbage collector never tracks the dict, and a memo that
 grows during a run does not change when or how long full collections run.
 All 65,536 such masks take about 7 MB; the census to order 11 fills 1,751.
-Larger masks, such as the edge-index masks of the SAT encoding with
-positions past 255, get a fresh list each call and are not kept.
+Larger masks, such as the edge-index masks of :func:`detect.list_copies`
+on a host with more than 16 edges, get a fresh list each call and are
+not kept.
 """
 
 from __future__ import annotations

@@ -18,11 +18,16 @@ Propagation looks for a clause's replacement watch among positions 2 to
 len(c) - 1, in order. Each solver keeps those positions in a table ``tail``,
 with ``tail[k] == tuple(range(2, k))``, grown to the longest clause it holds
 (input clauses at construction, learnt clauses as they are added), so a scan
-builds no object and visits the positions in the same order as a ``range``."""
+builds no object and visits the positions in the same order as a ``range``.
+
+The intake maps an input clause's literals through a table and sorts them.
+Only a clause with a repeated variable takes a set: its duplicate literals
+go, and it goes whole when it is a tautology."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 Edge = tuple[int, int]
 
@@ -46,12 +51,17 @@ class CnfFormula:
     edges: tuple[Edge, ...] = ()
 
     def __post_init__(self) -> None:
-        for i, cl in enumerate(self.clauses):
-            if not cl:
-                raise ValueError(f"clause {i} is empty")
-            for lit in cl:
-                if lit == 0 or abs(lit) > self.var_count:
-                    raise ValueError(f"clause {i} has literal {lit} out of range")
+        nv = self.var_count
+        lits = list(chain.from_iterable(self.clauses))
+        in_range = -nv <= min(lits, default=0) and max(lits, default=0) <= nv
+        if not (all(self.clauses) and in_range and 0 not in lits):
+            # name the first empty clause or bad literal
+            for i, cl in enumerate(self.clauses):
+                if not cl:
+                    raise ValueError(f"clause {i} is empty")
+                for lit in cl:
+                    if lit == 0 or abs(lit) > nv:
+                        raise ValueError(f"clause {i} has literal {lit} out of range")
         if self.edges and len(self.edges) != self.var_count:
             raise ValueError(f"{len(self.edges)} edges for {self.var_count} variables")
 
@@ -116,18 +126,27 @@ class _Cdcl:
         self.act_inc = 1.0
         self.unsat_root = False
         self.tail: list[tuple[int, ...]] = [(), (), ()]  # tail[k] == tuple(range(2, k))
+        # code[l]: DIMACS literal l as a solver literal, l < 0 by negative index
+        code = [0] + list(range(0, 2 * nvars, 2)) + list(range(2 * nvars - 1, 0, -2))
+        watches = self.watches
         units: list[int] = []
         for cl in clauses:
-            litset = {2 * (abs(l) - 1) + (l < 0) for l in cl}
-            if any(lit ^ 1 in litset for lit in litset):
-                continue  # tautology
-            lits = sorted(litset)
+            lits: list[int] | None = sorted(map(code.__getitem__, cl))
+            var = -1
+            for q in lits:
+                if q >> 1 == var:  # a repeated variable: drop duplicates and tautologies
+                    litset = set(lits)
+                    lits = None if any(lit ^ 1 in litset for lit in litset) else sorted(litset)
+                    break
+                var = q >> 1
+            if lits is None:
+                continue
             if len(lits) == 1:
                 units.append(lits[0])
                 continue
             self.clauses.append(lits)
-            self.watches[lits[0]].append(lits)
-            self.watches[lits[1]].append(lits)
+            watches[lits[0]].append(lits)
+            watches[lits[1]].append(lits)
         self._grow_tail(max(map(len, self.clauses), default=0))
         for lit in units:
             if self.val[lit] == _FALSE:

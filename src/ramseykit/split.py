@@ -6,8 +6,11 @@ Two independent engines decide the two-color case: a reduction to CNF
 (one Boolean variable per edge, one clause per forbidden copy) solved by
 the embedded SAT procedure, and a recursive edge colorer that extends a
 partial coloring one edge at a time. More than two colors always use the
-recursive engine. Both take copies as :mod:`detect` gives them: edge-index
-bitmasks over ``g.edges()``, whose bit i is SAT variable i + 1.
+recursive engine. Both number the edges as ``g.edges()`` does. The CNF
+encoder takes each copy from :func:`copy_tuples` as the sorted tuple of its
+edges' SAT variables, edge i being variable i + 1, which is its clause; the
+colorer takes the edge-index bitmasks of :func:`list_copies`, bit i for
+edge i.
 
 The SAT engine breaks the host's symmetry before it solves. The generators
 :func:`canon_raw` returns for Aut(g) permute the edges, hence the copies,
@@ -34,11 +37,13 @@ an edge, so these masks only grow down a branch and are never undone.
 
 from __future__ import annotations
 
+from itertools import chain
+from operator import neg
 from typing import Sequence
 
 from .canon import canon_raw
 from .coloring import EdgeColoring, matrix_text, pair_index
-from .detect import list_copies
+from .detect import copy_tuples, edge_table, list_copies
 from .graphs import Graph, iter_bits
 from .sat import BudgetExceededError, CnfFormula, sat_solve
 from .targets import Target
@@ -60,15 +65,21 @@ def encode_split_cnf(g: Graph, t_false: Target, t_true: Target) -> CnfFormula:
     Edges are variables, variable v being ``g.edges()[v-1]``; False plays
     color 1 and True color 2. Each copy of ``t_false`` contributes an
     all-positive clause (some edge must leave color 1) and each copy of
-    ``t_true`` an all-negative one.
+    ``t_true`` an all-negative one, both in the order of
+    :func:`list_copies`. The clauses come straight from
+    :func:`copy_tuples` over a table of the edges' variables; no copy is
+    built as a mask.
     """
-    if g.edge_count == 0:
+    edges = tuple(g.edges())
+    if not edges:
         raise ValueError("cannot encode an edgeless graph")
-    found = list_copies(g, t_false)
-    clauses = [tuple(i + 1 for i in iter_bits(cp)) for cp in found.copies]
-    for cp in list_copies(g, t_true).copies:
-        clauses.append(tuple(-1 - i for i in iter_bits(cp)))
-    return CnfFormula(len(found.edges), clauses, found.edges)
+    var = edge_table(g.n, edges, range(1, len(edges) + 1))
+    clauses = copy_tuples(g.adj, g.n, t_false, var)
+    # every copy of t_true has its edge_count edges: negate them in one
+    # stream and cut it back into clauses of that length
+    lits = map(neg, chain.from_iterable(copy_tuples(g.adj, g.n, t_true, var)))
+    clauses += zip(*[lits] * t_true.edge_count)
+    return CnfFormula(len(edges), clauses, edges)
 
 
 def edge_automorphisms(g: Graph, edges: Sequence[Edge]) -> list[tuple[int, ...]]:

@@ -2,6 +2,7 @@
 PASS/FAIL line. Everything asserts exact values; no tolerances apply
 anywhere in this suite."""
 
+import hashlib
 import os
 from functools import cache
 from itertools import combinations
@@ -23,8 +24,13 @@ from ramseykit.detect import coloring_is_valid, contains, is_good, list_copies
 from ramseykit.enumeration import enumerate_good, extend_level
 from ramseykit.graph6 import parse_graph6
 from ramseykit.graphs import Graph, complement
-from ramseykit.sat import sat_solve
-from ramseykit.split import compose_coloring, encode_split_cnf, is_splittable
+from ramseykit.sat import sat_solve, write_dimacs
+from ramseykit.split import (
+    compose_coloring,
+    encode_split_cnf,
+    is_splittable,
+    witness_matrix,
+)
 from ramseykit.verify import (
     verify_figure,
     verify_j7_arrow,
@@ -41,6 +47,10 @@ K3E = targets.triangle_plus_pendant()
 JOBS = min(4, os.cpu_count() or 1)
 # order-16 (K3, J7)-good hosts with recorded (K3, J4) split verdicts
 HOSTS16 = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "hosts16.tsv"
+# sha256 of the (K3, J4) DIMACS text of the 108 pool hosts' complements, in
+# file order, and of the witness matrices of the 8 that split
+POOL_DIMACS_SHA256 = "aad7f310723853ac07fd149cac26dbae8ccab38e04034753b183613bd3348c31"
+POOL_WITNESSES_SHA256 = "554db993019d741f2e6df8cf527b2a8fa9a7a3466d3a41b689603db9dd349a3f"
 
 TABLE_ROWS_1_TO_11 = [
     (1, 1, "0"),
@@ -235,13 +245,22 @@ def test_symmetry_breaking_keeps_the_pool_verdicts(checked_split, monkeypatch, t
     rows = [line.split("\t") for line in HOSTS16.read_text(encoding="ascii").splitlines()]
     assert len(rows) == 108
     refuted = 0
+    # the encoder's text and the splittable hosts' witnesses, byte for byte
+    dimacs, witnesses = hashlib.sha256(), hashlib.sha256()
     for text, recorded, _ in rows:
         g = complement(parse_graph6(text))
         ok, _ = checked_split(g, K3, J4)  # proof-checks each refutation
-        unbroken = sat_solve(encode_split_cnf(g, K3, J4)) is not None
+        f = encode_split_cnf(g, K3, J4)
+        dimacs.update(write_dimacs(f).encode())
+        unbroken = sat_solve(f) is not None
         assert ok == unbroken == (recorded == "1"), text
         refuted += not ok
+        if ok:
+            witness = is_splittable(g, [K3, J4], engine="sat")[1]
+            witnesses.update(witness_matrix(witness).encode())
     assert refuted == 100
+    assert dimacs.hexdigest() == POOL_DIMACS_SHA256
+    assert witnesses.hexdigest() == POOL_WITNESSES_SHA256
     enumerate_good(K3, J7, 10, emit_dir=str(tmp_path), jobs=JOBS)
     with_chains = str(verify_split_pipeline(10, archive_dir=str(tmp_path)))
     monkeypatch.setattr(split, "lex_leader_cnf", lambda f, perms: f)

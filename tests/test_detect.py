@@ -165,15 +165,14 @@ def grown_graph_critical_sets(adj, n, t):
         return []
     x = 1 << n
     grown = [row | x for row in adj] + [x - 1]
+    edges = Graph(n + 1, tuple(grown)).edges()
+    table = detect.edge_table(n + 1, edges, range(len(edges)))
     found = set()
-    for mask, missing in detect._COPIES[t.kind](grown, n + 1, t.k):
-        if not mask & x:
-            found.add(0)
-            continue
-        w = mask ^ x
-        for a, b in missing:
-            if b == n:  # x is the highest vertex, so it ends its pairs
-                w ^= 1 << a
+    for copy in detect.copy_tuples(grown, n + 1, t, table):
+        w = 0  # x is the highest vertex, so it ends its edges
+        for a, b in map(edges.__getitem__, copy):
+            if b == n:
+                w |= 1 << a
         found.add(w)
     minimal: list[int] = []
     for w in sorted(found, key=lambda m: (m.bit_count(), m)):
@@ -321,3 +320,24 @@ def test_coloring_is_valid_reports_witness():
 def test_coloring_is_valid_checks_target_count():
     with pytest.raises(ValueError):
         coloring_is_valid(EdgeColoring(4, 2, bytes(6)), [K3])
+
+
+def test_deep_copies_come_in_sorted_edge_order():
+    # the order, not just the count, of the deeper kinds against the oracle
+    rng = random.Random(41)
+    deep = [
+        targets.clique(6),
+        targets.clique_minus_edge(6),
+        J7,
+        targets.clique_minus_p3(5),
+        targets.cycle(6),
+    ]
+    found = set()
+    for n in (8, 8, 9):
+        g = random_graph(rng, n, 0.75 + rng.random() / 4)
+        for t in deep:
+            got = edge_copies(list_copies(g, t))
+            assert got == sorted(naive_copies(g, t)), (g.adj, t)
+            if got:
+                found.add(t)
+    assert found == set(deep)

@@ -6,13 +6,16 @@ import pytest
 
 from oracles import brute_satisfiable, drup_refutes, satisfies
 from ramseykit import targets
+from ramseykit.constructions import schlafli
 from ramseykit.graph6 import parse_graph6
 from ramseykit.graphs import Graph, complement
-from ramseykit.sat import BudgetExceededError, CnfFormula, sat_solve, write_dimacs
+from ramseykit.sat import BudgetExceededError, CnfFormula, _Cdcl, sat_solve, write_dimacs
 from ramseykit.split import edge_automorphisms, encode_split_cnf, lex_leader_cnf
 
 K3 = targets.clique(3)
 J4 = targets.clique_minus_edge(4)
+K3E = targets.triangle_plus_pendant()
+J7 = targets.clique_minus_edge(7)
 
 
 def pigeonhole(pigeons, holes):
@@ -140,6 +143,46 @@ def test_dimacs_records_edge_map():
     assert "c edge 0 2 var 2" in text
 
 
+# The DIMACS text of split formulas at host scale, pinned by sha256: the
+# edge map, the copy order and each clause's literal order all show in it.
+ENCODED = [
+    pytest.param(
+        lambda: complement(parse_graph6(SPLIT_HOST)),
+        K3,
+        J4,
+        "d0b300eb3e3e79cad9c020348414a184af48100b8edcd04bed3981782dc5ccc8",
+        id="split-host-K3-J4",
+    ),
+    pytest.param(
+        lambda: complement(parse_graph6(UNSPLIT_HOST)),
+        K3,
+        J4,
+        "d3cd5be80dc2d76936c16a4b48ff941ea4c0a8e9bd12878e3ff20bea16742cd9",
+        id="unsplit-host-K3-J4",
+    ),
+    pytest.param(
+        lambda: complement(schlafli()),
+        J4,
+        J4,
+        "aeb97671daa3e99b1bbbefc57c89eee9e08b59a59f170fbcbd3e1847883e9854",
+        id="schlafli-complement-J4-J4",
+    ),
+    pytest.param(
+        lambda: J7.pattern(),
+        K3E,
+        J4,
+        "59e0c2f176ce12cf1d674c231c0434b5faf3b9a9c5f5b2a31a7223fa8bd9a31b",
+        id="J7-K3e-J4",
+    ),
+]
+
+
+@pytest.mark.parametrize("build, t1, t2, digest", ENCODED)
+def test_encoded_text_is_pinned_at_host_scale(build, t1, t2, digest):
+    text = write_dimacs(encode_split_cnf(build(), t1, t2))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 # The solver is deterministic, so a model pins its whole search path: watch
 # order, literal swaps, clause order, restarts, clause-database reduction and
 # the decision tie-break. Digests are sha256 of bytes(model), with the
@@ -254,6 +297,76 @@ def test_verdicts_match_brute_force(family):
             assert satisfies(model, clauses), clauses
         verdicts.add(model is not None)
     assert verdicts == {True, False}
+
+
+def set_intake(nvars, clauses):
+    """The solver's clause intake with one set per clause: literal v + 1 is
+    2v and -(v + 1) is 2v + 1, a tautology is dropped, the rest sorted. As
+    (kept clauses, watch lists, root trail of the units, unit conflict)."""
+    kept, watches, units = [], [[] for _ in range(2 * nvars)], []
+    for cl in clauses:
+        litset = {2 * (abs(l) - 1) + (l < 0) for l in cl}
+        if any(lit ^ 1 in litset for lit in litset):
+            continue
+        lits = sorted(litset)
+        if len(lits) == 1:
+            units.append(lits[0])
+            continue
+        kept.append(lits)
+        watches[lits[0]].append(lits)
+        watches[lits[1]].append(lits)
+    trail = []
+    for lit in units:
+        if lit ^ 1 in trail:
+            return kept, watches, trail, True
+        if lit not in trail:
+            trail.append(lit)
+    return kept, watches, trail, False
+
+
+def intake_cases(rng, family):
+    """Seeded CNFs for the intake: :func:`random_cnf`'s families, units with
+    their negations, and wide clauses drawn with replacement."""
+    if family == "contradictory":
+        n, clauses = random_cnf(rng, "units")
+        clauses += [(v,) for v in rng.sample(range(-n, 0), rng.randint(1, n))]
+        clauses += [(v,) for v in rng.sample(range(1, n + 1), rng.randint(1, n))]
+        rng.shuffle(clauses)
+        return n, clauses
+    if family == "wide":
+        n = rng.randint(20, 60)
+        lit = lambda: rng.choice((1, -1)) * rng.randint(1, n)
+        return n, [tuple(lit() for _ in range(rng.randint(1, 80))) for _ in range(20)]
+    return random_cnf(rng, family)
+
+
+@pytest.mark.parametrize(
+    "family",
+    ["mixed", "units", "repeats", "tautologies", "copy-like", "long", "contradictory", "wide"],
+)
+def test_intake_matches_the_set_based_intake(family):
+    rng = random.Random(f"intake-{family}")
+    conflicts = 0
+    for _ in range(150):
+        n, clauses = intake_cases(rng, family)
+        s = _Cdcl(n, clauses, None)
+        assert (s.clauses, s.watches, s.trail, s.unsat_root) == set_intake(n, clauses)
+        # propagation moves literals inside the watched lists themselves
+        for c in s.clauses:
+            assert any(w is c for w in s.watches[c[0]]) and any(w is c for w in s.watches[c[1]])
+        conflicts += s.unsat_root
+    assert conflicts > 0 or family != "contradictory"
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: host_formula(SPLIT_HOST), lambda: broken_host_formula(UNSPLIT_HOST)],
+    ids=["split-host", "broken-unsplit-host"],
+)
+def test_intake_matches_the_set_based_intake_on_host_formulas(build):
+    f = build()
+    s = _Cdcl(f.var_count, f.clauses, None)
+    assert (s.clauses, s.watches, s.trail, s.unsat_root) == set_intake(f.var_count, f.clauses)
 
 
 def test_small_budgets_raise_or_answer_correctly():

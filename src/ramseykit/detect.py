@@ -18,7 +18,9 @@ Everything works on neighborhood bitmasks: a clique is grown by
 intersecting candidate masks, and the K_k and J_k generators walk the
 spines, the (k-2)-cliques with two or more common neighbours: a J_k copy
 is a spine plus any two of them, a K_k copy a spine plus an edge of them
-above it.
+above it. The K_k-P3 generator walks the cores, the (k-3)-cliques with
+three or more common neighbours: a copy is a core plus an edge of them
+and any third one.
 
 It also owns the edge numbering of copies. :func:`copy_tuples` writes each
 copy as the sorted tuple of its edges' entries in a per-host
@@ -72,19 +74,6 @@ def count_cliques(adj: Sequence[int], cand: int, k: int) -> int:
         cand ^= low
         total += count_cliques(adj, cand & adj[v], k - 1)
     return total
-
-
-def iter_cliques(adj: Sequence[int], cand: int, k: int) -> Iterator[int]:
-    """Yield the vertex masks of all k-cliques inside ``cand``."""
-    if k == 0:
-        yield 0
-        return
-    while cand.bit_count() >= k:  # fewer candidates than k: no clique left
-        low = cand & -cand
-        v = low.bit_length() - 1
-        cand ^= low
-        for rest in iter_cliques(adj, cand & adj[v], k - 1):
-            yield rest | low
 
 
 def _clique_commons(adj: Sequence[int], cand: int, k: int, common: int) -> list[int]:
@@ -146,19 +135,15 @@ def _cme_copies(adj: Sequence[int], n: int, k: int, index: Table) -> Iterator[Co
 
 
 def _cmp3_copies(adj: Sequence[int], n: int, k: int, index: Table) -> Iterator[Copy]:
-    # u-v is the path-ends edge, w the path centre, and the core is a
-    # (k-3)-clique adjacent to all three; the pairs of the vertex set, in
-    # order, are the edges in order
-    for u in range(n):
-        for v in iter_bits(adj[u] >> (u + 1)):
-            v += u + 1
-            common = adj[u] & adj[v]
-            for w in range(n):
-                if w == u or w == v:
-                    continue
-                ends = (1 << u) | (1 << v) | (1 << w)
-                for core in iter_cliques(adj, common & adj[w], k - 3):
-                    found = [index[a][b] for a, b in combinations(iter_bits(core | ends), 2)]
+    # the core R is a (k-3)-clique and C = N(R): the path ends are an edge
+    # u < v of C and the centre any other w of C; the pairs of the vertex
+    # set, in order, are the edges in order
+    for r, _, c in _cliques(adj, n, k - 3, 3):
+        for u in iter_bits(c):
+            for v in iter_bits(c & adj[u] & ~((2 << u) - 1)):
+                ends = r | 1 << u | 1 << v
+                for w in iter_bits(c & ~ends):
+                    found = [index[a][b] for a, b in combinations(iter_bits(ends | 1 << w), 2)]
                     found.remove(index[u][w])
                     found.remove(index[v][w])
                     yield tuple(found)
@@ -207,12 +192,11 @@ def count_copies(masks: Sequence[int], n: int, t: Target) -> int:
     :func:`count_copies_with_edge` over the graph's edges, which counts
     every copy |E(t)| times. No copy is built.
     """
-    full = (1 << n) - 1
     if t.kind == CLIQUE:
-        return count_cliques(masks, full, t.k)
+        return count_cliques(masks, (1 << n) - 1, t.k)
     if t.kind == CLIQUE_MINUS_EDGE:
         total = 0
-        for common in _clique_commons(masks, full, t.k - 2, full):
+        for _, _, common in _cliques(masks, n, t.k - 2, 2):
             x = common.bit_count()
             total += x * (x - 1) >> 1
         return total

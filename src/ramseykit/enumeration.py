@@ -41,10 +41,10 @@ only counts therefore counts such children of its last order from S
 alone, without building their rows.
 
 Every class arises once, from its one parent on that path, so the census
-is a tree and no level has to be held: ``enumerate_good`` walks it depth
-first. With several jobs it deals subtrees out to worker processes, as
-geng deals out its search tree (McKay & Piperno 2014, "Practical graph
-isomorphism, II", J. Symbolic Comput. 60).
+is a tree and no level has to be held: one walk visits it depth first
+from any roots. With several jobs the subtrees below the top levels go
+to worker processes, as geng deals out its search tree (McKay & Piperno
+2014, "Practical graph isomorphism, II", J. Symbolic Comput. 60).
 """
 
 from __future__ import annotations
@@ -224,7 +224,7 @@ def _new_vertex_ties(
 
 
 def _children(
-    rec: _ClassRec, t1: Target, t2: Target, unbuilt: list[int] | None = None
+    rec: _ClassRec, t1: Target, t2: Target, tally: Counter[tuple[int, int]] | None = None
 ) -> list[tuple[bytes, _ClassRec]]:
     """The (key, record) of each child of one class on the canonical path.
 
@@ -234,14 +234,15 @@ def _children(
     The parent's generators that map S onto itself, fixing the new vertex,
     are automorphisms of the child, and its labeling starts from them.
 
-    With ``unbuilt``, a child whose new vertex ties with no old vertex
-    passes the deletion test unlabeled (see the module docstring): it is
-    not built, and its |S| goes to ``unbuilt`` instead.
+    With a walk's ``tally``, a child whose new vertex ties with no old
+    vertex passes the deletion test unlabeled (see the module docstring):
+    it is not built, and is counted in ``tally`` under (order, edges).
     """
     adj = rec.adj
     n = len(adj)
     bit = 1 << n
     deg = [row.bit_count() for row in adj]
+    edges = sum(deg) // 2
     nsum = [sum(deg[u] for u in iter_bits(row)) for row in adj]
     by_deg = [0] * (n + 1)
     for v, d in enumerate(deg):
@@ -256,8 +257,8 @@ def _children(
         ties = _new_vertex_ties(adj, deg, nsum, by_deg, s)
         if ties is None or not _orbit_min(s, rec.gens):
             continue
-        if unbuilt is not None and not ties:
-            unbuilt.append(k)
+        if tally is not None and not ties:
+            tally[n + 1, edges + k] += 1
             continue
         child = tuple(
             (row | bit) if (s >> v) & 1 else row for v, row in enumerate(adj)
@@ -297,34 +298,28 @@ def extend_level(level: Sequence[Graph], t1: Target, t2: Target) -> list[Graph]:
     return [_canonical_graph(rec) for _, rec in out]
 
 
-def _subtree(
-    root: _ClassRec, t1: Target, t2: Target, n_max: int, emit: bool
+def _walk(
+    roots: Sequence[_ClassRec], t1: Target, t2: Target, n_max: int, emit: bool
 ) -> tuple[Counter[tuple[int, int]], dict[int, list[str]]]:
-    """Tallies of ``root`` and the classes below it, down to order ``n_max``.
+    """Tallies of ``roots`` and every class below them, down to order ``n_max``.
 
     The first counts classes per (order, edges); the second holds each
     class's graph6 line per order, only when ``emit``. The walk keeps one
-    stack of the children still to visit, not a level. Without ``emit``, a
-    child of order ``n_max`` whose new vertex ties with no old vertex is
-    counted from its S alone, unbuilt and unlabeled.
+    stack of the classes still to visit, not a level. Without ``emit``,
+    ``_children`` counts tie-free children of order ``n_max`` unbuilt.
     """
     tally: Counter[tuple[int, int]] = Counter()
     graphs: dict[int, list[str]] = {}
-    stack = [root]
+    stack = list(roots)
     while stack:
         rec = stack.pop()
         n = len(rec.adj)
-        edges = sum(row.bit_count() for row in rec.adj) // 2
-        tally[n, edges] += 1
+        tally[n, sum(row.bit_count() for row in rec.adj) // 2] += 1
         if emit:
             graphs.setdefault(n, []).append(emit_graph6(_canonical_graph(rec)))
-        if n + 1 == n_max and not emit:
-            unbuilt: list[int] = []
-            stack += [child for _, child in _children(rec, t1, t2, unbuilt)]
-            for k in unbuilt:
-                tally[n_max, edges + k] += 1
-        elif n < n_max:
-            stack += [child for _, child in _children(rec, t1, t2)]
+        if n < n_max:
+            counted = None if emit or n + 1 < n_max else tally
+            stack += [child for _, child in _children(rec, t1, t2, counted)]
     return tally, graphs
 
 
@@ -342,31 +337,36 @@ def enumerate_good(
     each level is archived as one graph6 file, sorted by canonical key;
     until the files are written, one graph6 line per class is held.
     Levels past the Ramsey number stay empty and cost nothing. With
-    ``jobs`` > 1 the levels are expanded from K1 until one holds at least
-    16 × ``jobs`` classes; the subtrees below that level are dealt to
-    worker processes as they free up, and the levels above it are walked
-    again serially. The result does not depend on the worker count.
+    ``jobs`` > 1 the levels are tallied and expanded from K1 until one
+    holds at least 16 × ``jobs`` classes; the subtrees below that level
+    are dealt to worker processes as they free up. The result does not
+    depend on the worker count.
     """
     stats = EnumerationStats(t1, t2, [])
     if n_max < 1:
         return stats
-    root = _ClassRec((0,), (0,), ())
-    walk = partial(_subtree, t1=t1, t2=t2, emit=emit_dir is not None)
-    parts, split = [root], 1
-    while jobs > 1 and len(parts) < 16 * jobs and split < n_max:
-        parts = [child for rec in parts for _, child in _children(rec, t1, t2)]
-        split += 1
-    if jobs <= 1 or len(parts) < 16 * jobs:
-        tally, graphs = walk(root, n_max=n_max)
-    else:
-        import multiprocessing as mp
+    walk = partial(_walk, t1=t1, t2=t2, emit=emit_dir is not None)
 
-        tally, graphs = walk(root, n_max=split - 1)
-        with mp.Pool(jobs) as pool:
-            for part, part_graphs in pool.imap_unordered(partial(walk, n_max=n_max), parts):
-                tally.update(part)
-                for n, lines in part_graphs.items():
-                    graphs.setdefault(n, []).extend(lines)
+    def walks() -> Iterator[tuple[Counter[tuple[int, int]], dict[int, list[str]]]]:
+        parts, split = [_ClassRec((0,), (0,), ())], 1
+        while jobs > 1 and len(parts) < 16 * jobs and split < n_max:
+            yield walk(parts, n_max=split)  # this level alone
+            parts = [child for rec in parts for _, child in _children(rec, t1, t2)]
+            split += 1
+        if jobs <= 1 or len(parts) < 16 * jobs:
+            yield walk(parts, n_max=n_max)
+        else:
+            import multiprocessing as mp
+
+            with mp.Pool(jobs) as pool:
+                yield from pool.imap_unordered(partial(walk, n_max=n_max), [[p] for p in parts])
+
+    results = walks()
+    tally, graphs = next(results)  # every run walks at least once
+    for part, part_graphs in results:
+        tally.update(part)
+        for n, lines in part_graphs.items():
+            graphs.setdefault(n, []).extend(lines)
     for order in range(1, n_max + 1):
         edges = [e for n, e in tally if n == order]
         count = sum(tally[order, e] for e in edges)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from . import __version__
 from .canon import are_isomorphic
 from .constructions import figure_coloring, is_strongly_regular, schlafli, two_k3
-from .detect import coloring_is_valid, contains, is_good, list_copies
+from .detect import coloring_is_valid, contains, count_copies, is_good, list_copies
 from .enumeration import archive_filename, enumerate_good, extend_level
 from .graph6 import iter_graph6
 from .graphs import Graph, complement
@@ -154,7 +154,7 @@ def verify_schlafli(max_conflicts: int | None = None) -> Report:
     rep.add(f"graph: {g.n} vertices, {g.edge_count} edges")
     rep.require(is_strongly_regular(g, 10, 1, 5), "strongly regular (27,10,1,5)")
     rep.require(is_good(g, j4, j7), "(J4,J7;27)-good")
-    rep.add(f"J4 copies: {len(list_copies(g, j4))}")
+    rep.add(f"J4 copies: {count_copies(g.adj, g.n, j4)}")
     ok, witness = is_splittable(g, [j4, j4], max_conflicts=max_conflicts)
     rep.require(ok, "splits into two J4-free graphs")
     if witness is not None:

@@ -235,6 +235,7 @@ def test_archive_bytes_are_pinned(pair, n, digest, tmp_path):
         ("K3,J7", 9, 2),  # 38 subtrees below order 6 go to the pool
         ("K3,J7", 9, 3),  # 105 subtrees below order 7
         ("K3,K3", 7, 2),  # the tree dies out before any level has 32 classes
+        ("K3,J7", 5, 2),  # the frontier reaches n_max with 14 classes
     ],
 )
 def test_jobs_do_not_change_the_result(pair, n, jobs, tmp_path):
@@ -245,6 +246,21 @@ def test_jobs_do_not_change_the_result(pair, n, jobs, tmp_path):
     assert archive_digest(t1, t2, n, tmp_path / "serial", jobs=1) == archive_digest(
         t1, t2, n, tmp_path / "parallel", jobs=jobs
     )
+
+
+def test_levels_above_the_split_are_expanded_once(monkeypatch):
+    # K3,J7 to 9 at two jobs splits at order 6 (38 classes): this process
+    # expands each of the 27 classes of orders 1-5 once, and the pool the rest
+    orders = []
+    children = enumeration._children
+
+    def counted(rec, *args):
+        orders.append(len(rec.adj))
+        return children(rec, *args)
+
+    monkeypatch.setattr(enumeration, "_children", counted)
+    enumerate_good(K3, J7, 9, jobs=2)
+    assert Counter(orders) == {1: 1, 2: 2, 3: 3, 4: 7, 5: 14}
 
 
 def test_only_emitted_classes_are_relabeled(monkeypatch, tmp_path):

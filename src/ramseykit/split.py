@@ -22,7 +22,21 @@ than their image, on the first few edges the generator moves. Every orbit
 of colorings keeps its least member, so verdicts do not change, while the
 solver no longer refutes the same subproblem once per symmetric copy.
 :func:`encode_split_cnf` (and the ``cnf`` command) still writes the
-unbroken formula.
+unbroken formula, in the caller's labels.
+
+The SAT engine also renumbers the host first (:func:`degree_order`), the
+busiest vertices first, and maps its model back to the caller's labels.
+The solver favours low-index edges: activity ties, the two watched
+literals of each clause and the positions each lex-leader chain compares
+all go to them, and degree-driven orders are the usual remedy in Ramsey
+SAT work (Codish, Frank, Itzhakov & Miller 2016, "Computing the Ramsey
+number R(4,3,3) using abstraction and symmetry breaking"). On the 108
+pool hosts (CPython 3.11.7, 2 cores) this cut conflicts from 70,929 to
+52,974 and SAT time 1.35x; on 406 order-16 census classes in the labels
+the walk found them in, conflicts from 442,910 to 394,123 and SAT time
+1.10-1.19x. Canonical labels already put high-degree vertices first and
+gained nothing. The host's canonical order, its reverse and ascending
+degree all gave more conflicts.
 
 Both engines return a split as its color classes: one :class:`Graph` per
 target on the host's vertex set, class i holding the edges of color i.
@@ -44,7 +58,7 @@ from typing import Sequence
 from .canon import canon_raw
 from .coloring import EdgeColoring, matrix_text, pair_index
 from .detect import copy_tuples, edge_table, list_copies
-from .graphs import Graph, iter_bits
+from .graphs import Graph, iter_bits, relabel_rows
 from .sat import BudgetExceededError, CnfFormula, sat_solve
 from .targets import Target
 
@@ -80,6 +94,18 @@ def encode_split_cnf(g: Graph, t_false: Target, t_true: Target) -> CnfFormula:
     lits = map(neg, chain.from_iterable(copy_tuples(g.adj, g.n, t_true, var)))
     clauses += zip(*[lits] * t_true.edge_count)
     return CnfFormula(len(edges), clauses, edges)
+
+
+def degree_order(g: Graph) -> tuple[list[int], Graph]:
+    """(order, h): ``h`` is ``g`` with vertex ``order[i]`` renamed ``i``,
+    where ``order`` lists the vertices by descending (degree, sum of their
+    neighbours' degrees), ties by label. An edge ``(a, b)`` of ``h`` is
+    ``(order[a], order[b])`` of ``g``. The SAT engine solves ``h`` rather
+    than ``g``; the module docstring says why."""
+    deg = [row.bit_count() for row in g.adj]
+    key = [(-deg[v], -sum(deg[u] for u in iter_bits(row)), v) for v, row in enumerate(g.adj)]
+    order = sorted(range(g.n), key=key.__getitem__)
+    return order, Graph._unchecked(g.n, relabel_rows(g.n, g.adj, order))
 
 
 def edge_automorphisms(g: Graph, edges: Sequence[Edge]) -> list[tuple[int, ...]]:
@@ -231,12 +257,14 @@ def is_splittable(
 
     Two targets may use either engine ("sat", "recurse", or "both" to
     cross-check agreement, unknown when either overruns); more colors
-    always recurse. The SAT engine labels ``g`` once with :func:`canon_raw`
-    and solves the copy clauses plus one lex-leader chain per automorphism
-    generator (:func:`lex_leader_cnf`), so ``max_conflicts`` counts the
-    conflicts of that broken formula. A witness is read from the edge
-    variables of its model, which is also a model of the unbroken formula:
-    variable v + 1 true puts ``g.edges()[v]`` in class 1, false in class 0.
+    always recurse. The SAT engine numbers ``g`` by :func:`degree_order`
+    into ``h``, labels ``h`` once with :func:`canon_raw` and solves ``h``'s
+    copy clauses plus one lex-leader chain per automorphism generator
+    (:func:`lex_leader_cnf`), so ``max_conflicts`` counts the conflicts of
+    that broken formula. A witness is read from the edge variables of its
+    model, which is also a model of ``h``'s unbroken formula: variable
+    v + 1 true puts ``h.edges()[v]``, as ``(order[a], order[b])`` of
+    ``g``, in class 1, false in class 0.
     """
     if engine not in ("auto", "sat", "recurse", "both"):
         raise ValueError(f"unknown engine {engine!r}")
@@ -246,8 +274,9 @@ def is_splittable(
         if engine == "recurse" or len(targets) != 2 or g.edge_count == 0:
             w = recursive_split(g, targets, max_conflicts)
             return (w is not None), w
-        f = encode_split_cnf(g, targets[0], targets[1])
-        broken = lex_leader_cnf(f, edge_automorphisms(g, f.edges))
+        order, h = degree_order(g)
+        f = encode_split_cnf(h, targets[0], targets[1])
+        broken = lex_leader_cnf(f, edge_automorphisms(h, f.edges))
         model = sat_solve(broken, max_conflicts=max_conflicts)
         if engine == "both":
             other = recursive_split(g, targets, max_conflicts)
@@ -258,9 +287,9 @@ def is_splittable(
     if model is None:
         return False, None
     halves: tuple[list[Edge], list[Edge]] = ([], [])
-    for e, x in zip(f.edges, model):  # zip stops at the chains' variables
-        halves[x].append(e)
-    return True, tuple(Graph.from_edges(g.n, h) for h in halves)
+    for (a, b), x in zip(f.edges, model):  # zip stops at the chains' variables
+        halves[x].append((order[a], order[b]))
+    return True, tuple(Graph.from_edges(g.n, half) for half in halves)
 
 
 def witness_matrix(witness: Sequence[Graph]) -> str:

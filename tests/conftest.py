@@ -15,9 +15,10 @@ def checked_split(monkeypatch):
     """``checked_split(g, t1, t2)`` decides the split with the SAT engine of
     ``is_splittable`` and returns (verdict, number of edge automorphisms it
     broke). An UNSAT verdict is checked on the very formula solved: it is
-    the copy clauses plus the lex-leader chains of those automorphisms,
-    each of them maps the copy clauses onto themselves, and the solver's
-    DRUP log refutes it."""
+    the copy clauses of ``g`` numbered by :func:`split.degree_order` plus
+    the lex-leader chains of that graph's automorphisms, each of them maps
+    the copy clauses onto themselves, and the solver's DRUP log refutes
+    it."""
     solved = []
 
     def spy(f, max_conflicts=None):
@@ -29,8 +30,9 @@ def checked_split(monkeypatch):
     def check(g, t1, t2):
         solved.clear()
         ok, _ = split.is_splittable(g, [t1, t2], engine="sat")
-        f = split.encode_split_cnf(g, t1, t2)
-        perms = split.edge_automorphisms(g, f.edges)
+        _, h = split.degree_order(g)
+        f = split.encode_split_cnf(h, t1, t2)
+        perms = split.edge_automorphisms(h, f.edges)
         if not ok:
             assert solved == [split.lex_leader_cnf(f, perms)]
             assert permutes_clauses(f.clauses, perms)

@@ -50,7 +50,7 @@ HOSTS16 = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "hosts
 # sha256 of the (K3, J4) DIMACS text of the 108 pool hosts' complements, in
 # file order, and of the witness matrices of the 8 that split
 POOL_DIMACS_SHA256 = "aad7f310723853ac07fd149cac26dbae8ccab38e04034753b183613bd3348c31"
-POOL_WITNESSES_SHA256 = "554db993019d741f2e6df8cf527b2a8fa9a7a3466d3a41b689603db9dd349a3f"
+POOL_WITNESSES_SHA256 = "2b5e616b09c0f63dae5a33b618c68fdad1b8f4e356f0eeda2bae0eeb6b5f68cc"
 
 TABLE_ROWS_1_TO_11 = [
     (1, 1, "0"),
@@ -257,6 +257,10 @@ def test_symmetry_breaking_keeps_the_pool_verdicts(checked_split, monkeypatch, t
         refuted += not ok
         if ok:
             witness = is_splittable(g, [K3, J4], engine="sat")[1]
+            assert sorted(e for h in witness for e in h.edges()) == g.edges(), text
+            assert not contains(witness[0], K3) and not contains(witness[1], J4), text
+            composed = compose_coloring(parse_graph6(text), witness)
+            assert coloring_is_valid(composed, [K3, K3, J4]).valid, text
             witnesses.update(witness_matrix(witness).encode())
     assert refuted == 100
     assert dimacs.hexdigest() == POOL_DIMACS_SHA256

@@ -355,7 +355,7 @@ def test_verify_schlafli_overrun_reports_the_finished_checks():
 def test_verify_split_pipeline_overrun_reports_the_finished_hosts(tmp_path):
     from test_sat import SPLIT_HOST, UNSPLIT_HOST
 
-    # the second host's symmetry-broken formula needs 187 conflicts
+    # the formula is_splittable solves for the second host needs 158 conflicts
     (tmp_path / "good_K3_J7_n16.g6").write_text(f"{SPLIT_HOST}\n{UNSPLIT_HOST}\n")
     argv = ["verify", "split-pipeline", "--level", "16", "--archive", str(tmp_path)]
     proc = run_cli(argv + ["--max-conflicts", "150"])

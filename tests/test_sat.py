@@ -10,7 +10,7 @@ from ramseykit.constructions import schlafli
 from ramseykit.graph6 import parse_graph6
 from ramseykit.graphs import Graph, complement
 from ramseykit.sat import BudgetExceededError, CnfFormula, _Cdcl, sat_solve, write_dimacs
-from ramseykit.split import edge_automorphisms, encode_split_cnf, lex_leader_cnf
+from ramseykit.split import degree_order, edge_automorphisms, encode_split_cnf, lex_leader_cnf
 
 K3 = targets.clique(3)
 J4 = targets.clique_minus_edge(4)
@@ -41,12 +41,22 @@ def host_formula(text):
     return encode_split_cnf(complement(parse_graph6(text)), K3, J4)
 
 
-def broken_host_formula(text):
-    """The formula ``is_splittable`` solves for a host: the split CNF of its
-    complement under lex-leader symmetry breaking."""
-    g = complement(parse_graph6(text))
+def broken_formula(g):
+    """The (K3, J4)-split CNF of ``g`` under lex-leader symmetry breaking."""
     f = encode_split_cnf(g, K3, J4)
     return lex_leader_cnf(f, edge_automorphisms(g, f.edges))
+
+
+def broken_formula_as_read(text):
+    """The broken split CNF of a graph6 host's complement in the labels the
+    graph6 text gives it."""
+    return broken_formula(complement(parse_graph6(text)))
+
+
+def broken_formula_as_solved(text):
+    """The formula ``is_splittable`` solves for a graph6 host: the broken
+    split CNF of its complement numbered by :func:`degree_order`."""
+    return broken_formula(degree_order(complement(parse_graph6(text)))[1])
 
 
 # Two order-16 (K3, J7)-good hosts: the first one's complement splits into
@@ -231,9 +241,15 @@ def test_models_match_recorded_search_path(build, budget, digest):
         pytest.param(lambda: pigeonhole(7, 6), 846, False, id="pigeonhole(7,6)"),
         pytest.param(lambda: host_formula(SPLIT_HOST), 174, True, id="split-host"),
         pytest.param(lambda: host_formula(UNSPLIT_HOST), 602, False, id="unsplit-host"),
-        pytest.param(lambda: broken_host_formula(SPLIT_HOST), 115, True, id="broken-split-host"),
+        pytest.param(lambda: broken_formula_as_read(SPLIT_HOST), 115, True, id="broken-split-host"),
         pytest.param(
-            lambda: broken_host_formula(UNSPLIT_HOST), 187, False, id="broken-unsplit-host"
+            lambda: broken_formula_as_read(UNSPLIT_HOST), 187, False, id="broken-unsplit-host"
+        ),
+        pytest.param(
+            lambda: broken_formula_as_solved(SPLIT_HOST), 129, True, id="solved-split-host"
+        ),
+        pytest.param(
+            lambda: broken_formula_as_solved(UNSPLIT_HOST), 158, False, id="solved-unsplit-host"
         ),
     ],
 )
@@ -360,8 +376,12 @@ def test_intake_matches_the_set_based_intake(family):
 
 @pytest.mark.parametrize(
     "build",
-    [lambda: host_formula(SPLIT_HOST), lambda: broken_host_formula(UNSPLIT_HOST)],
-    ids=["split-host", "broken-unsplit-host"],
+    [
+        lambda: host_formula(SPLIT_HOST),
+        lambda: broken_formula_as_read(UNSPLIT_HOST),
+        lambda: broken_formula_as_solved(UNSPLIT_HOST),
+    ],
+    ids=["split-host", "broken-unsplit-host", "solved-unsplit-host"],
 )
 def test_intake_matches_the_set_based_intake_on_host_formulas(build):
     f = build()
@@ -397,9 +417,7 @@ def test_proof_log_leaves_the_search_unchanged(build, budget, digest):
 
 
 def unsplit_host_refutation():
-    g = complement(parse_graph6(UNSPLIT_HOST))
-    f = encode_split_cnf(g, K3, J4)
-    broken = lex_leader_cnf(f, edge_automorphisms(g, f.edges))
+    broken = broken_formula_as_read(UNSPLIT_HOST)
     proof: list[str] = []
     assert sat_solve(broken, proof=proof) is None
     return broken, proof

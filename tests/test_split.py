@@ -13,21 +13,25 @@ from oracles import (
     satisfies,
 )
 from ramseykit import targets
+from ramseykit.canon import canonical_form
 from ramseykit.coloring import color_class
 from ramseykit.constructions import schlafli
 from ramseykit.detect import coloring_is_valid, contains, list_copies
 from ramseykit.enumeration import extend_level
-from ramseykit.graphs import Graph, complement
+from ramseykit.graph6 import parse_graph6
+from ramseykit.graphs import Graph, complement, iter_bits, relabel_rows
 from ramseykit.sat import BudgetExceededError, CnfFormula, sat_solve
 from ramseykit.split import (
     CHAIN_LENGTH,
     compose_coloring,
+    degree_order,
     edge_automorphisms,
     encode_split_cnf,
     is_splittable,
     lex_leader_cnf,
     recursive_split,
 )
+from test_sat import SPLIT_HOST, UNSPLIT_HOST
 
 K3 = targets.clique(3)
 K4 = targets.clique(4)
@@ -436,3 +440,40 @@ def test_breaking_leaves_witnesses_models_of_the_unbroken_formula():
         assert ok
         assert_partition(g, witness)
         assert satisfies([witness[1].has_edge(*e) for e in f.edges], f.clauses)
+
+
+def test_degree_order_renumbers_by_descending_degree_keys():
+    rng = random.Random("degree-order")
+    hosts = [complement(parse_graph6(SPLIT_HOST)), complement(schlafli()), j7_graph()]
+    hosts += [Graph.empty(0), Graph.empty(3), Graph.cycle(5)]
+    hosts += [random_graph(rng, rng.randint(1, 10), rng.random()) for _ in range(40)]
+    for g in hosts:
+        order, h = degree_order(g)
+        assert sorted(order) == list(range(g.n))
+        assert Graph(h.n, h.adj) == h  # the rows pass the full check
+        assert h.edge_count == g.edge_count
+        assert all(g.has_edge(order[a], order[b]) for a, b in h.edges())
+        assert canonical_form(h) == canonical_form(g)
+        keys = [(h.degree(v), sum(h.degree(u) for u in iter_bits(h.adj[v]))) for v in range(h.n)]
+        assert keys == sorted(keys, reverse=True), g.adj
+        # ties keep the caller's label order
+        assert all(order[i] < order[i + 1] for i in range(g.n - 1) if keys[i] == keys[i + 1])
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_sat_witnesses_stay_in_the_callers_labels(seed):
+    rng = random.Random(f"relabeled-hosts-{seed}")
+    for text, splits in ((SPLIT_HOST, True), (UNSPLIT_HOST, False)):
+        red = parse_graph6(text)
+        perm = list(range(red.n))
+        rng.shuffle(perm)
+        red = Graph(red.n, relabel_rows(red.n, red.adj, perm))
+        g = complement(red)
+        ok, witness = is_splittable(g, [K3, J4], engine="sat")
+        assert ok == splits, (text, perm)
+        if ok:
+            assert_partition(g, witness)
+            assert not contains(witness[0], K3) and not contains(witness[1], J4)
+            assert coloring_is_valid(compose_coloring(red, witness), [K3, K3, J4]).valid
+        else:
+            assert witness is None
